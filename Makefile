@@ -10,7 +10,7 @@ CI_SEED ?= 0
 FUZZTIME ?= 60s
 FUZZTIME_SHORT ?= 15s
 
-.PHONY: build test check bench bench-smoke ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-nightly-bars
+.PHONY: build test check bench bench-smoke ci ci-vet ci-fmt ci-lint ci-test ci-race ci-fuzz ci-smoke ci-gateway ci-view ci-obs ci-sched ci-graph ci-nightly-bars ci-flake
 
 build:
 	$(GO) build ./...
@@ -161,3 +161,10 @@ ci-graph:
 # advisory.
 ci-nightly-bars:
 	$(GO) run ./cmd/raft-bench -ablate monitor,batch,obs,rate,gateway,view,latency,sched,graph -corpus 16 -seed $(CI_SEED) -enforce-bars
+
+# ci-flake is the nightly flake sweep: the whole tier-1 suite twenty times
+# over at GOMAXPROCS 1, 2 and 4, so an interleaving-dependent failure shows
+# up in CI rather than in someone's local run. Not part of `ci` (it takes
+# tens of minutes); the workflow runs it on schedule and manual dispatch.
+ci-flake:
+	$(GO) test ./... -count=20 -cpu 1,2,4

@@ -33,8 +33,9 @@ type Actor struct {
 	// it must close the actor's output queues.
 	Finish func()
 
-	// Service accumulates per-invocation service times; the monitor reads
-	// it to estimate service rates for bottleneck detection and modeling.
+	// Service counts every invocation and times a random sample of them
+	// (see StepTimed); the monitor reads it to estimate service rates for
+	// bottleneck detection and modeling.
 	Service stats.ServiceTimer
 
 	// Virtual marks actors that complete instantly (e.g. the paper's
@@ -71,48 +72,80 @@ type Actor struct {
 	// actors but replicas of one kernel share their group's id.
 	Trace   *trace.Recorder
 	TraceID int32
-	// TraceStride samples Run spans statistically: one invocation in every
-	// TraceStride emits its RunStart/RunEnd pair (0 and 1 both mean every
-	// invocation). Structural events — restarts, checkpoints, resizes — are
-	// never sampled; only the high-frequency Run spans are. stepSkip is the
-	// countdown to the next sampled invocation, touched only by the actor's
-	// own goroutine (a countdown avoids a division on the hot path).
+	// TraceStride is the mean gap S between sampled invocations: StepTimed
+	// times one invocation in S on average, and a sampled invocation is also
+	// the one that emits its RunStart/RunEnd pair when Trace is set. 0 and
+	// 1 both mean every invocation. Structural events — restarts,
+	// checkpoints, resizes — are never sampled.
 	TraceStride uint32
-	stepSkip    uint32
+
+	// skip counts down the untimed invocations left before the next
+	// sampled one; rng is the xorshift state drawing the gaps. Both are
+	// touched only by the goroutine stepping the actor.
+	skip uint32
+	rng  uint64
 }
 
-// StepTimed invokes Step and records the service time. The clock is read
-// exactly once per edge: the same end capture feeds both the duty-cycle
-// accounting (Service) and the trace bus, so instrumentation never doubles
-// the timing overhead of an invocation. Run spans are emitted for one
-// invocation in every TraceStride — the amortized bus cost on a
-// fine-grained kernel is a counter increment, not two event publishes.
+// StepTimed invokes Step, counting every invocation and timing a random
+// sample of them. Gaps between sampled invocations are drawn uniformly from
+// [1, 2S−1] (mean S = TraceStride) by a per-actor xorshift seeded by ID; the
+// first invocation is always sampled. A random gap cannot alias with a
+// periodic kernel the way a fixed stride would, so the sampled service-time
+// statistics stay unbiased while Service.Count stays exact.
+//
+// An unsampled invocation costs Step plus one atomic count increment, with
+// no clock read. A sampled one reads the clock once per edge, and the same
+// captures feed both Service and the trace bus.
 func (a *Actor) StepTimed() Status {
-	if a.Trace != nil {
-		if a.stepSkip == 0 {
-			if a.TraceStride > 1 {
-				a.stepSkip = a.TraceStride - 1
-			}
-			return a.stepTraced()
-		}
-		a.stepSkip--
+	if a.skip > 0 {
+		a.skip--
+		st := a.Step()
+		a.Service.Untimed()
+		return st
 	}
-	start := time.Now()
-	st := a.Step()
-	a.Service.Record(time.Since(start))
-	return st
-}
-
-// stepTraced is the sampled slow path: one invocation bracketed by
-// RunStart/RunEnd events sharing the duty-cycle clock captures.
-func (a *Actor) stepTraced() Status {
-	start := time.Now()
+	a.skip = a.nextGap() - 1
+	start := now()
+	if a.Trace == nil {
+		st := a.Step()
+		a.Service.Record(since(start))
+		return st
+	}
 	a.Trace.Record(a.TraceID, trace.RunStart, start.UnixNano())
 	st := a.Step()
-	end := time.Now()
+	end := now()
 	a.Service.Record(end.Sub(start))
 	a.Trace.Record(a.TraceID, trace.RunEnd, end.UnixNano())
 	return st
+}
+
+// now and since are the clock StepTimed reads on sampled invocations
+// (since reads only the monotonic clock, about half the cost of now);
+// tests swap both for a synthetic clock.
+var now, since = time.Now, time.Since
+
+// nextGap draws the number of invocations until the next sampled one,
+// uniform in [1, 2S−1].
+func (a *Actor) nextGap() uint32 {
+	s := a.TraceStride
+	if s <= 1 {
+		return 1
+	}
+	x := a.rng
+	if x == 0 {
+		// splitmix64 of the ID: distinct, non-zero seeds per actor.
+		x = uint64(a.ID) + 0x9E3779B97F4A7C15
+		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+		x = (x ^ x>>27) * 0x94D049BB133111EB
+		x ^= x >> 31
+		if x == 0 {
+			x = 1
+		}
+	}
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	a.rng = x
+	return 1 + uint32(x%(2*uint64(s)-1))
 }
 
 // LinkInfo is the engine's view of one stream (queue) between two actors.

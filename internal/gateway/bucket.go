@@ -29,25 +29,26 @@ func (b *bucket) init(rate, burst float64) {
 }
 
 // take withdraws n tokens if available, reporting on refusal how long
-// until the deficit refills. A request larger than the whole bucket can
-// never succeed; it is refused with the time to fill from empty, so the
-// caller surfaces a finite Retry-After instead of blocking forever.
-func (b *bucket) take(n float64, now time.Time) (ok bool, wait time.Duration) {
+// until the deficit refills and how many tokens there were. A request
+// larger than the whole bucket can never succeed; it is refused with the
+// time to fill from empty, so the caller surfaces a finite Retry-After
+// instead of blocking forever.
+func (b *bucket) take(n float64, now time.Time) (ok bool, wait time.Duration, avail float64) {
 	if b.rate <= 0 {
-		return true, 0
+		return true, 0, 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.refill(now)
 	if b.tokens >= n {
 		b.tokens -= n
-		return true, 0
+		return true, 0, 0
 	}
 	short := n - b.tokens
 	if n > b.burst {
 		short = b.burst
 	}
-	return false, time.Duration(short / b.rate * float64(time.Second))
+	return false, time.Duration(short / b.rate * float64(time.Second)), b.tokens
 }
 
 // refund returns tokens withdrawn for a batch that was not admitted

@@ -160,7 +160,7 @@ type tenantState struct {
 	admittedBatches atomic.Uint64
 	admittedElems   atomic.Uint64
 	shedQuota       atomic.Uint64
-	shedModel       atomic.Uint64
+	shedBy          [ShedWait + 1]atomic.Uint64 // model sheds, by cause
 }
 
 type binding struct {
@@ -463,22 +463,22 @@ func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestRes
 		return ingestResult{code: badPayload, msg: err.Error()}
 	}
 	t := s.tenant(tenantName)
-	if ok, wait := t.bucket.take(float64(n), time.Now()); !ok {
+	if ok, wait, avail := t.bucket.take(float64(n), time.Now()); !ok {
 		t.shedQuota.Add(1)
 		b.recycle(batch)
 		retry := s.clampRetry(wait)
-		s.emitShed(t.name, sourceName, retry)
+		s.emitShed(t.name+"/"+sourceName+" quota", avail, float64(n))
 		return ingestResult{code: shedQuota, n: n, retry: retry, msg: "tenant quota exceeded"}
 	}
-	if shed, wait, why := s.modelShed(b); shed {
+	if v := s.modelShed(b); v.Cause != ShedNone {
 		// The tokens were provisioned capacity the tenant did not get to
 		// use; give them back so a model shed never double-charges.
 		t.bucket.refund(float64(n))
-		t.shedModel.Add(1)
+		t.shedBy[v.Cause].Add(1)
 		b.recycle(batch)
-		retry := s.clampRetry(wait)
-		s.emitShed(t.name, sourceName, retry)
-		return ingestResult{code: shedModel, n: n, retry: retry, msg: "pipeline saturated: " + why}
+		retry := s.clampRetry(v.Wait)
+		s.emitModelShed(t.name, sourceName, v)
+		return ingestResult{code: shedModel, n: n, retry: retry, msg: "pipeline saturated: " + v.String()}
 	}
 	push := b.Push
 	if b.PushTenant != nil {
@@ -497,17 +497,70 @@ func (s *Server) ingest(tenantName, sourceName string, payload []byte) ingestRes
 	return ingestResult{code: accepted, n: n}
 }
 
+// ShedCause names the model-driven admission rule that refused a batch.
+// The set is closed: ShedNone plus the members of ShedCauses.
+type ShedCause uint8
+
+const (
+	// ShedNone means the model admitted the batch.
+	ShedNone ShedCause = iota
+	// ShedOccupancy: the source queue is at or past OccShed of capacity.
+	ShedOccupancy
+	// ShedRho: the link's estimated utilization ρ̂ is at or past RhoShed.
+	ShedRho
+	// ShedWait: the predicted M/M/c queueing wait is past MaxWait.
+	ShedWait
+)
+
+// ShedCauses lists every shed cause, in label order.
+var ShedCauses = [...]ShedCause{ShedOccupancy, ShedRho, ShedWait}
+
+// String returns the cause's metric label.
+func (c ShedCause) String() string {
+	switch c {
+	case ShedOccupancy:
+		return "occupancy"
+	case ShedRho:
+		return "rho"
+	case ShedWait:
+		return "wait"
+	}
+	return "none"
+}
+
+// shedVerdict is modelShed's decision with its trigger: the rule that fired,
+// the threshold it compares against and the value it observed, both in the
+// cause's unit (occupancy: queued elements; rho: ρ̂; wait: seconds), and the
+// model's drain/wait estimate feeding Retry-After.
+type shedVerdict struct {
+	Cause               ShedCause
+	Threshold, Observed float64
+	Wait                time.Duration
+}
+
+// String renders the verdict for 429 bodies.
+func (v shedVerdict) String() string {
+	switch v.Cause {
+	case ShedOccupancy:
+		return fmt.Sprintf("queue %.0f elements at or past occupancy threshold %.0f", v.Observed, v.Threshold)
+	case ShedRho:
+		return fmt.Sprintf("utilization %.2f past threshold %.2f", v.Observed, v.Threshold)
+	case ShedWait:
+		return fmt.Sprintf("predicted wait %.0fms past limit %.0fms", v.Observed*1e3, v.Threshold*1e3)
+	}
+	return "admitted"
+}
+
 // modelShed applies the model-driven admission rules to a wired binding:
 // shed on near-full occupancy, on estimated utilization at or beyond
-// RhoShed, or on a predicted M/M/c wait beyond MaxWait. The returned wait
-// is the model's drain/wait estimate feeding Retry-After.
-func (s *Server) modelShed(b *binding) (shed bool, wait time.Duration, why string) {
+// RhoShed, or on a predicted M/M/c wait beyond MaxWait.
+func (s *Server) modelShed(b *binding) shedVerdict {
 	w := b.wiring
 	if w.BestEffort {
 		// The ring sheds for us (counted in Dropped); gateway-side
 		// backpressure would just reintroduce the latency the link opted
 		// out of.
-		return false, 0, ""
+		return shedVerdict{}
 	}
 	var lambda, mu, rho float64
 	var primed bool
@@ -516,13 +569,13 @@ func (s *Server) modelShed(b *binding) (shed bool, wait time.Duration, why strin
 	}
 	if w.Queue != nil {
 		qlen, qcap := w.Queue()
-		if qcap > 0 && float64(qlen) >= s.cfg.OccShed*float64(qcap) {
+		if line := s.cfg.OccShed * float64(qcap); qcap > 0 && float64(qlen) >= line {
 			// Retry once the backlog above the shed line has drained.
 			drain := s.cfg.RetryCeil
 			if primed && mu > 0 {
 				drain = time.Duration(float64(qlen) / mu * float64(time.Second))
 			}
-			return true, drain, fmt.Sprintf("queue %d/%d past occupancy threshold", qlen, qcap)
+			return shedVerdict{Cause: ShedOccupancy, Threshold: line, Observed: float64(qlen), Wait: drain}
 		}
 	}
 	if primed {
@@ -536,13 +589,13 @@ func (s *Server) modelShed(b *binding) (shed bool, wait time.Duration, why strin
 		// consumers; PredictWait wants the per-server rate.
 		pw := qmodel.PredictWait(lambda, mu/float64(c), c)
 		if rho >= s.cfg.RhoShed {
-			return true, waitDuration(pw), fmt.Sprintf("utilization %.2f past threshold", rho)
+			return shedVerdict{Cause: ShedRho, Threshold: s.cfg.RhoShed, Observed: rho, Wait: waitDuration(pw)}
 		}
-		if pw > s.cfg.MaxWait.Seconds() {
-			return true, waitDuration(pw), fmt.Sprintf("predicted wait %.0fms past limit", pw*1e3)
+		if limit := s.cfg.MaxWait.Seconds(); pw > limit {
+			return shedVerdict{Cause: ShedWait, Threshold: limit, Observed: pw, Wait: waitDuration(pw)}
 		}
 	}
-	return false, 0, ""
+	return shedVerdict{}
 }
 
 // waitDuration converts a qmodel wait (seconds, possibly +Inf) to a
@@ -570,14 +623,35 @@ func (s *Server) clampRetry(wait time.Duration) time.Duration {
 }
 
 func (s *Server) emitAdmit(tenant, source string, n int) {
-	s.emit(trace.Admit, tenant, source, int64(n))
+	s.emit(trace.Admit, tenant+"/"+source, 0, int64(n))
 }
 
-func (s *Server) emitShed(tenant, source string, retry time.Duration) {
-	s.emit(trace.Shed, tenant, source, retry.Milliseconds())
+// emitShed records a shed with its trigger: Prev is the threshold and Arg
+// the observed value, and the label names the flow and the cause.
+func (s *Server) emitShed(label string, threshold, observed float64) {
+	s.emit(trace.Shed, label, scaledInt(threshold), scaledInt(observed))
 }
 
-func (s *Server) emit(kind trace.Kind, tenant, source string, arg int64) {
+// emitModelShed records a model shed, scaling its trigger to integers:
+// occupancy in elements, ρ̂ in thousandths, wait in milliseconds.
+func (s *Server) emitModelShed(tenant, source string, v shedVerdict) {
+	scale := 1.0
+	if v.Cause != ShedOccupancy {
+		scale = 1e3
+	}
+	s.emitShed(tenant+"/"+source+" "+v.Cause.String(), v.Threshold*scale, v.Observed*scale)
+}
+
+// scaledInt rounds x to an int64, saturating at +Inf (an unbounded
+// predicted wait).
+func scaledInt(x float64) int64 {
+	if x >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(math.Round(x))
+}
+
+func (s *Server) emit(kind trace.Kind, label string, prev, arg int64) {
 	s.mu.Lock()
 	rec, actor := s.rec, s.traceActor
 	s.mu.Unlock()
@@ -586,7 +660,7 @@ func (s *Server) emit(kind trace.Kind, tenant, source string, arg int64) {
 	}
 	rec.Emit(trace.Event{
 		Actor: actor, Kind: kind, At: time.Now().UnixNano(),
-		Arg: arg, Label: tenant + "/" + source,
+		Prev: prev, Arg: arg, Label: label,
 	})
 }
 
@@ -597,6 +671,11 @@ type TenantStats struct {
 	AdmittedElems   uint64
 	ShedQuota       uint64
 	ShedModel       uint64
+	// ShedOccupancy, ShedRho and ShedWait split ShedModel by cause (see
+	// ShedCause); they sum to it.
+	ShedOccupancy uint64
+	ShedRho       uint64
+	ShedWait      uint64
 	// E2EP99Ns is the tenant's observed end-to-end p99 latency in
 	// nanoseconds, from retired provenance markers (0 until the first
 	// marker of the tenant retires, or when markers are disabled).
@@ -614,6 +693,19 @@ type SourceStats struct {
 	// intermediate copy (pooled decode buffer committed straight into ring
 	// storage through a write view).
 	CopiesSaved uint64
+}
+
+// ShedBy returns the tenant's model-shed count for cause c.
+func (t TenantStats) ShedBy(c ShedCause) uint64 {
+	switch c {
+	case ShedOccupancy:
+		return t.ShedOccupancy
+	case ShedRho:
+		return t.ShedRho
+	case ShedWait:
+		return t.ShedWait
+	}
+	return 0
 }
 
 // Stats is a point-in-time snapshot of the gateway's counters.
@@ -643,8 +735,11 @@ func (s *Server) Stats() Stats {
 			AdmittedBatches: t.admittedBatches.Load(),
 			AdmittedElems:   t.admittedElems.Load(),
 			ShedQuota:       t.shedQuota.Load(),
-			ShedModel:       t.shedModel.Load(),
+			ShedOccupancy:   t.shedBy[ShedOccupancy].Load(),
+			ShedRho:         t.shedBy[ShedRho].Load(),
+			ShedWait:        t.shedBy[ShedWait].Load(),
 		}
+		ts.ShedModel = ts.ShedOccupancy + ts.ShedRho + ts.ShedWait
 		if latency != nil {
 			if p99, ok := latency(t.name); ok {
 				ts.E2EP99Ns = int64(p99)

@@ -12,16 +12,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"raftlib/internal/trace"
 )
 
 func TestBucketTake(t *testing.T) {
 	var b bucket
 	b.init(100, 50)
 	now := time.Unix(0, 0)
-	if ok, _ := b.take(50, now); !ok {
+	if ok, _, _ := b.take(50, now); !ok {
 		t.Fatal("full bucket refused its burst")
 	}
-	ok, wait := b.take(10, now)
+	ok, wait, _ := b.take(10, now)
 	if ok {
 		t.Fatal("empty bucket granted tokens")
 	}
@@ -29,7 +31,7 @@ func TestBucketTake(t *testing.T) {
 		t.Fatalf("wait = %v, want %v", wait, want)
 	}
 	// 100 elem/s refills 10 tokens in 100ms.
-	if ok, _ := b.take(10, now.Add(100*time.Millisecond)); !ok {
+	if ok, _, _ := b.take(10, now.Add(100*time.Millisecond)); !ok {
 		t.Fatal("refill did not grant")
 	}
 }
@@ -37,7 +39,7 @@ func TestBucketTake(t *testing.T) {
 func TestBucketOversizedRequest(t *testing.T) {
 	var b bucket
 	b.init(10, 5)
-	ok, wait := b.take(50, time.Unix(0, 0))
+	ok, wait, _ := b.take(50, time.Unix(0, 0))
 	if ok {
 		t.Fatal("request beyond burst granted")
 	}
@@ -50,7 +52,7 @@ func TestBucketOversizedRequest(t *testing.T) {
 func TestBucketUnlimited(t *testing.T) {
 	var b bucket
 	b.init(0, 0)
-	if ok, _ := b.take(1e12, time.Unix(0, 0)); !ok {
+	if ok, _, _ := b.take(1e12, time.Unix(0, 0)); !ok {
 		t.Fatal("unlimited bucket refused")
 	}
 }
@@ -59,11 +61,11 @@ func TestBucketRefund(t *testing.T) {
 	var b bucket
 	b.init(100, 10)
 	now := time.Unix(0, 0)
-	if ok, _ := b.take(10, now); !ok {
+	if ok, _, _ := b.take(10, now); !ok {
 		t.Fatal("take")
 	}
 	b.refund(10)
-	if ok, _ := b.take(10, now); !ok {
+	if ok, _, _ := b.take(10, now); !ok {
 		t.Fatal("refund did not restore tokens")
 	}
 }
@@ -180,7 +182,7 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 }
 
 func TestHTTPQuotaShed(t *testing.T) {
-	srv, _ := newTestServer(t, Config{
+	srv, _, rec := tracedTestServer(t, Config{
 		Tenants: map[string]Quota{"alice": {Rate: 10, Burst: 3}},
 	}, idleWiring())
 	h := srv.Handler()
@@ -204,12 +206,68 @@ func TestHTTPQuotaShed(t *testing.T) {
 			t.Fatalf("alice ShedQuota = %d", ts.ShedQuota)
 		}
 	}
+	// The trace carries the trigger: ~0 tokens left against 3 requested.
+	for _, e := range rec.Events() {
+		if e.Kind == trace.Shed && (e.Label != "alice/words quota" || e.Prev != 0 || e.Arg != 3) {
+			t.Fatalf("quota shed event %q threshold %d observed %d", e.Label, e.Prev, e.Arg)
+		}
+	}
+}
+
+// checkModelShed asserts one model shed of the given cause landed in every
+// view: the per-cause stats counter (and ShedModel beside it), the labelled
+// /metrics series, and a Shed trace event carrying threshold and observed.
+func checkModelShed(t *testing.T, srv *Server, rec *trace.Recorder, cause ShedCause, threshold, observed int64) {
+	t.Helper()
+	ts := srv.Stats().Tenants[0]
+	if ts.ShedModel != 1 {
+		t.Fatalf("ShedModel = %d, want 1", ts.ShedModel)
+	}
+	for _, c := range ShedCauses {
+		want := uint64(0)
+		if c == cause {
+			want = 1
+		}
+		if got := ts.ShedBy(c); got != want {
+			t.Fatalf("ShedBy(%v) = %d, want %d", c, got, want)
+		}
+	}
+	rw := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
+	series := fmt.Sprintf("raft_gateway_model_shed_total{tenant=%q,cause=%q} 1", ts.Name, cause.String())
+	for _, want := range []string{series, fmt.Sprintf("raft_gateway_shed_total{tenant=%q,reason=\"model\"} 1", ts.Name)} {
+		if !strings.Contains(rw.Body.String(), want) {
+			t.Fatalf("metrics missing %q in:\n%s", want, rw.Body)
+		}
+	}
+	var sheds []trace.Event
+	for _, e := range rec.Events() {
+		if e.Kind == trace.Shed {
+			sheds = append(sheds, e)
+		}
+	}
+	if len(sheds) != 1 {
+		t.Fatalf("%d shed events, want 1", len(sheds))
+	}
+	e := sheds[0]
+	if !strings.HasSuffix(e.Label, "/words "+cause.String()) || e.Prev != threshold || e.Arg != observed {
+		t.Fatalf("shed event label %q threshold %d observed %d, want cause %v, %d, %d",
+			e.Label, e.Prev, e.Arg, cause, threshold, observed)
+	}
+}
+
+func tracedTestServer(t *testing.T, cfg Config, w Wiring) (*Server, *[][]byte, *trace.Recorder) {
+	t.Helper()
+	srv, sink := newTestServer(t, cfg, w)
+	rec := trace.NewRecorder(64)
+	srv.SetTrace(rec, 0)
+	return srv, sink, rec
 }
 
 func TestHTTPModelShedOccupancy(t *testing.T) {
 	w := idleWiring()
 	w.Queue = func() (int, int) { return 60, 64 } // 94% full
-	srv, sink := newTestServer(t, Config{}, w)
+	srv, sink, rec := tracedTestServer(t, Config{}, w)
 	rw := post(t, srv.Handler(), "/v1/ingest/words", "alice", "a")
 	if rw.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", rw.Code)
@@ -220,19 +278,19 @@ func TestHTTPModelShedOccupancy(t *testing.T) {
 	if len(*sink) != 0 {
 		t.Fatal("shed batch reached the source")
 	}
-	st := srv.Stats()
-	if st.Tenants[0].ShedModel != 1 {
-		t.Fatalf("ShedModel = %d", st.Tenants[0].ShedModel)
-	}
+	// Default OccShed 0.75 of 64 = a 48-element line; 60 observed.
+	checkModelShed(t, srv, rec, ShedOccupancy, 48, 60)
 }
 
 func TestHTTPModelShedUtilization(t *testing.T) {
 	w := idleWiring()
 	w.Rates = func() (float64, float64, float64, bool) { return 95, 100, 0.95, true }
-	srv, _ := newTestServer(t, Config{}, w)
-	if rw := post(t, srv.Handler(), "/v1/ingest/words", "", "a"); rw.Code != http.StatusTooManyRequests {
+	srv, _, rec := tracedTestServer(t, Config{}, w)
+	if rw := post(t, srv.Handler(), "/v1/ingest/words", "alice", "a"); rw.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 at rho=0.95", rw.Code)
 	}
+	// Default RhoShed 0.9; ρ̂ 0.95, both in thousandths on the trace.
+	checkModelShed(t, srv, rec, ShedRho, 900, 950)
 }
 
 func TestHTTPModelShedPredictedWait(t *testing.T) {
@@ -240,10 +298,11 @@ func TestHTTPModelShedPredictedWait(t *testing.T) {
 	// rho = 0.85 < RhoShed, but the predicted M/M/1 wait 0.85/(10*0.15) =
 	// 567ms blows a 100ms MaxWait.
 	w.Rates = func() (float64, float64, float64, bool) { return 8.5, 10, 0.85, true }
-	srv, _ := newTestServer(t, Config{MaxWait: 100 * time.Millisecond}, w)
-	if rw := post(t, srv.Handler(), "/v1/ingest/words", "", "a"); rw.Code != http.StatusTooManyRequests {
+	srv, _, rec := tracedTestServer(t, Config{MaxWait: 100 * time.Millisecond}, w)
+	if rw := post(t, srv.Handler(), "/v1/ingest/words", "alice", "a"); rw.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 on predicted wait", rw.Code)
 	}
+	checkModelShed(t, srv, rec, ShedWait, 100, 567)
 }
 
 func TestHTTPBestEffortAdmitsUnderLoad(t *testing.T) {

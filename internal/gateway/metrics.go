@@ -33,6 +33,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "raft_gateway_shed_total{tenant=%q,reason=\"quota\"} %d\n", t.Name, t.ShedQuota)
 		fmt.Fprintf(&b, "raft_gateway_shed_total{tenant=%q,reason=\"model\"} %d\n", t.Name, t.ShedModel)
 	}
+	counter("raft_gateway_model_shed_total", "Batches shed per tenant by model-driven admission, by the rule that fired.")
+	for _, t := range st.Tenants {
+		for _, c := range ShedCauses {
+			fmt.Fprintf(&b, "raft_gateway_model_shed_total{tenant=%q,cause=%q} %d\n", t.Name, c, t.ShedBy(c))
+		}
+	}
 	counter("raft_gateway_source_admitted_elements_total", "Elements admitted per source.")
 	for _, src := range st.Sources {
 		fmt.Fprintf(&b, "raft_gateway_source_admitted_elements_total{source=%q} %d\n", src.Name, src.AdmittedElems)

@@ -180,3 +180,51 @@ func TestSPSCBestEffortEOFSurvives(t *testing.T) {
 		t.Fatalf("pop = %d/%v/%v, want 99/eof", v, sig, err)
 	}
 }
+
+// TestBestEffortDropKinds pins the accounting contract for both drop kinds
+// on both ring kinds: evicted elements entered the ring (Pushes and
+// Evicted count them), shed ones never did (Dropped only), so
+// Pushes = Pops + Evicted + Len at every quiescent point.
+func TestBestEffortDropKinds(t *testing.T) {
+	check := func(t *testing.T, tel *Telemetry, n int, wantEvicted, wantShed uint64) {
+		t.Helper()
+		s := tel.Snapshot()
+		if s.Evicted != wantEvicted || s.Dropped-s.Evicted != wantShed {
+			t.Fatalf("evicted %d shed %d, want %d and %d", s.Evicted, s.Dropped-s.Evicted, wantEvicted, wantShed)
+		}
+		if s.Pushes != s.Pops+s.Evicted+uint64(n) {
+			t.Fatalf("pushes %d != pops %d + evicted %d + len %d", s.Pushes, s.Pops, s.Evicted, n)
+		}
+	}
+	t.Run("mutex", func(t *testing.T) {
+		r := NewRing[int](4)
+		r.SetBestEffort(true)
+		for i := 0; i < 6; i++ { // two evictions
+			_ = r.Push(i, SigNone)
+		}
+		check(t, r.Telemetry(), r.Len(), 2, 0)
+		v, err := r.AcquireView(2) // pins the head: no eviction under it
+		if err != nil || v.Len() != 2 {
+			t.Fatalf("view %d, %v", v.Len(), err)
+		}
+		_ = r.Push(6, SigNone)           // shed
+		_ = r.PushN([]int{7, 8, 9}, nil) // shed
+		r.ReleaseView(2)
+		check(t, r.Telemetry(), r.Len(), 2, 4)
+		_ = r.PushN([]int{10, 11}, nil) // room after the release: admitted
+		_ = r.Push(12, SigNone)         // full again: evicts
+		check(t, r.Telemetry(), r.Len(), 3, 4)
+	})
+	t.Run("spsc", func(t *testing.T) {
+		q := NewSPSC[int](4)
+		q.SetBestEffort(true)
+		for i := 0; i < 6; i++ { // drop-newest: two shed
+			_ = q.Push(i, SigNone)
+		}
+		check(t, q.Telemetry(), q.Len(), 0, 2)
+		if _, _, err := q.Pop(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, q.Telemetry(), q.Len(), 0, 2)
+	})
+}

@@ -118,12 +118,19 @@ type Telemetry struct {
 	// the adaptive batcher's grow signal.
 	SpinYields counter64
 	SpinSleeps counter64
-	// Dropped counts elements discarded by the best-effort overflow policy
-	// (SetBestEffort): stale elements evicted from the head of a full mutex
-	// ring (latest-wins) or incoming elements shed by a full lock-free ring.
-	// Dropped elements are counted in neither Pushes nor Pops, so flow-based
-	// rate estimates stay uncontaminated by the shed traffic.
+	// Dropped counts every element discarded by the best-effort overflow
+	// policy (SetBestEffort), of two kinds. Evicted elements had entered
+	// the ring — stale elements evicted from the head of a full mutex ring
+	// (latest-wins) — so Pushes counted them on entry and Evicted counts
+	// them again on eviction. Shed elements never entered — incoming
+	// elements turned away by a full lock-free ring, or by a mutex ring
+	// whose head is pinned by a signal or a read view — and count in
+	// Dropped only. Pops never counts a dropped element, so on both ring
+	// kinds Pushes = Pops + Evicted + Len holds exactly, Pushes is the
+	// admission rate and Pops the consumption rate the λ̂/µ̂ estimators
+	// read, and Dropped − Evicted is the shed count.
 	Dropped counter64
+	Evicted counter64
 	// Views counts completed borrow/release cycles (read and write batch
 	// views, see view.go); ViewHoldNs is the cumulative wall time views were
 	// held. A link whose mean hold time approaches the monitor's δ is
@@ -214,6 +221,7 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		SpinYields:   t.SpinYields.Load(),
 		SpinSleeps:   t.SpinSleeps.Load(),
 		Dropped:      t.Dropped.Load(),
+		Evicted:      t.Evicted.Load(),
 		Views:        t.Views.Load(),
 		ViewHoldNs:   t.ViewHoldNs.Load(),
 	}
@@ -234,8 +242,10 @@ type TelemetrySnapshot struct {
 	Shrinks      uint64
 	SpinYields   uint64
 	SpinSleeps   uint64
-	// Dropped counts elements discarded by the best-effort overflow policy.
+	// Dropped counts elements discarded by the best-effort overflow policy;
+	// Evicted is the subset that had entered the ring (and Pushes) first.
 	Dropped uint64
+	Evicted uint64
 	// Views counts completed borrow/release view cycles; ViewHoldNs is the
 	// cumulative time views were held (see view.go).
 	Views      uint64

@@ -112,11 +112,13 @@ func (r *Ring[T]) SetMaxCap(n int) {
 // SetBestEffort switches the ring's overflow policy: with best effort on, a
 // push into a full ring evicts the oldest buffered elements instead of
 // blocking the producer — latest-wins semantics for soft-real-time streams
-// that degrade by freshness rather than latency. Evicted elements are
-// counted in Telemetry.Dropped (and in neither Pushes nor Pops). Elements
-// carrying a synchronized signal (EOF, termination) are never evicted: a
-// signal-pinned head sheds the incoming signal-free elements instead, and a
-// signal-carrying incoming element falls back to the blocking path so
+// that degrade by freshness rather than latency. Evicted elements were
+// counted in Pushes on entry and are counted in Telemetry.Evicted and
+// Dropped on eviction, never in Pops; elements shed without entering count
+// in Dropped only (see Telemetry.Dropped). Elements carrying a
+// synchronized signal (EOF, termination) are never evicted: a
+// signal-pinned head sheds the incoming signal-free elements instead, and
+// a signal-carrying incoming element falls back to the blocking path so
 // control flow is never lost.
 func (r *Ring[T]) SetBestEffort(on bool) {
 	r.mu.Lock()
@@ -133,8 +135,9 @@ func (r *Ring[T]) BestEffort() bool {
 
 // evictLocked discards up to want of the oldest signal-free elements to
 // make room for a best-effort push, stopping early at a signal-carrying
-// head. Evictions count as Dropped, not Pops: the elements were never
-// consumed, and the flow counters feeding λ̂/µ̂ must not see them.
+// head. Evictions count as Evicted and Dropped, not Pops: the elements
+// entered the ring (Pushes saw them) but were never consumed, and the
+// consumption counter feeding µ̂ must not see them.
 func (r *Ring[T]) evictLocked(want int) {
 	if r.viewOut {
 		// The head region is borrowed by an outstanding read view: nothing
@@ -153,6 +156,7 @@ func (r *Ring[T]) evictLocked(want int) {
 	}
 	if dropped > 0 {
 		r.tel.Dropped.Add(uint64(dropped))
+		r.tel.Evicted.Add(uint64(dropped))
 	}
 	if r.n == 0 && !r.wviewOut {
 		r.head = 0 // keep the buffer in the fast non-wrapped position

@@ -130,10 +130,10 @@ func (q *SPSC[T]) Kind() string { return "spsc" }
 
 // SetBestEffort switches the queue's overflow policy to drop-newest: a
 // full queue sheds incoming signal-free elements, counted in
-// Telemetry.Dropped, instead of spinning the producer. Signal-carrying
-// elements (EOF, termination) always take the blocking path. See the
-// bestEffort field for why this side is drop-newest while the mutex ring
-// is latest-wins.
+// Telemetry.Dropped (never in Pushes or Evicted), instead of spinning the
+// producer. Signal-carrying elements (EOF, termination) always take the
+// blocking path. See the bestEffort field for why this side is
+// drop-newest while the mutex ring is latest-wins.
 func (q *SPSC[T]) SetBestEffort(on bool) { q.bestEffort.Store(on) }
 
 // BestEffort reports whether the queue runs the drop-newest overflow

@@ -640,16 +640,16 @@ func FuzzViewResize(f *testing.F) {
 		if !bestEffort && released != total {
 			t.Fatalf("lost elements without best effort: %d/%d", released, total)
 		}
-		// Flow invariant after drain: mutex latest-wins evicts elements that
-		// were already counted as pushed (Pushes = Pops + Dropped), while the
-		// SPSC sheds incoming elements before they are pushed (Pushes = Pops).
+		// Flow invariant after drain, on both ring kinds and for both drop
+		// kinds: evicted elements entered the ring (Pushes counted them)
+		// and shed ones never did, so Pushes = Pops + Evicted.
 		snap := tel.Snapshot()
-		wantPops := snap.Pushes
-		if mode&1 == 0 {
-			wantPops = snap.Pushes - snap.Dropped
+		if snap.Pops != snap.Pushes-snap.Evicted || snap.Evicted > snap.Dropped {
+			t.Fatalf("flow imbalance after drain: pushes=%d pops=%d dropped=%d evicted=%d",
+				snap.Pushes, snap.Pops, snap.Dropped, snap.Evicted)
 		}
-		if snap.Pops != wantPops {
-			t.Fatalf("flow imbalance after drain: pushes=%d pops=%d dropped=%d", snap.Pushes, snap.Pops, snap.Dropped)
+		if mode&1 == 1 && snap.Evicted != 0 {
+			t.Fatalf("drop-newest SPSC evicted %d elements", snap.Evicted)
 		}
 	})
 }

@@ -329,10 +329,16 @@ func (o *Occupancy) StarvedFraction() float64 {
 func (o *Occupancy) Hist() *Histogram { return &o.hist }
 
 // ServiceTimer measures per-invocation service times of a kernel with a
-// log-scale histogram. Use Start/Stop pairs or the Time helper.
+// log-scale histogram. Every invocation is counted, but only a sample of
+// them need be timed: Record adds a timed invocation, Untimed an untimed
+// one. The histogram (MeanNanos, Quantile, RatePerSecond) holds the timed
+// samples; Count is exact; BusyNanos extrapolates the sampled busy time to
+// every invocation. When every invocation is timed the extrapolation is the
+// identity.
 type ServiceTimer struct {
-	hist Histogram
-	busy atomic.Uint64 // cumulative busy nanoseconds
+	hist    Histogram
+	busy    atomic.Uint64 // cumulative busy nanoseconds of the timed samples
+	untimed atomic.Uint64 // invocations counted without a timing
 }
 
 // Time runs fn and records its wall-clock duration.
@@ -342,7 +348,7 @@ func (t *ServiceTimer) Time(fn func()) {
 	t.Record(time.Since(start))
 }
 
-// Record adds one observed service duration.
+// Record adds one timed invocation with service duration d.
 func (t *ServiceTimer) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -351,14 +357,29 @@ func (t *ServiceTimer) Record(d time.Duration) {
 	t.busy.Add(uint64(d))
 }
 
-// Count returns the number of recorded invocations.
-func (t *ServiceTimer) Count() uint64 { return t.hist.Count() }
+// Untimed counts one invocation whose duration was not sampled.
+func (t *ServiceTimer) Untimed() { t.untimed.Add(1) }
 
-// MeanNanos returns the mean service time in nanoseconds.
+// Count returns the exact number of invocations, timed or not.
+func (t *ServiceTimer) Count() uint64 { return t.untimed.Load() + t.hist.Count() }
+
+// MeanNanos returns the mean service time of the timed samples.
 func (t *ServiceTimer) MeanNanos() float64 { return t.hist.Mean() }
 
-// BusyNanos returns cumulative busy time in nanoseconds.
-func (t *ServiceTimer) BusyNanos() uint64 { return t.busy.Load() }
+// BusyNanos returns the cumulative busy time in nanoseconds: the timed
+// samples' busy sum scaled by Count over the number of timed samples, or
+// 0 with no samples.
+func (t *ServiceTimer) BusyNanos() uint64 {
+	samples := t.hist.Count()
+	if samples == 0 {
+		return 0
+	}
+	busy, untimed := t.busy.Load(), t.untimed.Load()
+	if untimed == 0 {
+		return busy
+	}
+	return uint64(float64(busy) * float64(samples+untimed) / float64(samples))
+}
 
 // RatePerSecond converts the mean service time into a service rate
 // (invocations per second). Returns 0 when no samples exist.
@@ -373,5 +394,5 @@ func (t *ServiceTimer) RatePerSecond() float64 {
 // Quantile returns the q-quantile of service time in nanoseconds.
 func (t *ServiceTimer) Quantile(q float64) uint64 { return t.hist.Quantile(q) }
 
-// Hist exposes the underlying service-time histogram (for exporters).
+// Hist exposes the underlying histogram of timed samples (for exporters).
 func (t *ServiceTimer) Hist() *Histogram { return &t.hist }

@@ -287,6 +287,27 @@ func TestServiceTimer(t *testing.T) {
 	}
 }
 
+func TestServiceTimerSampled(t *testing.T) {
+	var st ServiceTimer
+	st.Untimed()
+	if st.Count() != 1 || st.BusyNanos() != 0 || st.MeanNanos() != 0 {
+		t.Fatalf("no samples: count %d busy %d mean %v", st.Count(), st.BusyNanos(), st.MeanNanos())
+	}
+	st.Record(100 * time.Nanosecond)
+	st.Record(300 * time.Nanosecond)
+	st.Untimed()
+	// Four runs, two timed: the 400 ns sampled busy sum extrapolates ×2.
+	if st.Count() != 4 {
+		t.Fatalf("count = %d, want 4", st.Count())
+	}
+	if st.BusyNanos() != 800 {
+		t.Fatalf("busy = %d, want 800", st.BusyNanos())
+	}
+	if st.MeanNanos() != 200 || st.Hist().Count() != 2 {
+		t.Fatalf("mean = %v over %d samples, want 200 over 2", st.MeanNanos(), st.Hist().Count())
+	}
+}
+
 func TestServiceTimerTime(t *testing.T) {
 	var st ServiceTimer
 	st.Time(func() { time.Sleep(time.Millisecond) })

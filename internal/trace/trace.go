@@ -67,9 +67,11 @@ const (
 	// Admit is one ingestion-gateway batch accepted into a source port
 	// (Arg = elements admitted, Label = "tenant/source").
 	Admit
-	// Shed is one gateway batch rejected by admission control (Arg =
-	// predicted wait in milliseconds, or -1 when unbounded; Label =
-	// "tenant/source").
+	// Shed is one gateway batch rejected by admission control, with the
+	// trigger: Label = "tenant/source cause", Prev = the threshold and
+	// Arg = the observed value in the cause's unit — quota: tokens
+	// available vs elements requested; occupancy: queued elements;
+	// rho: ρ̂ in thousandths; wait: predicted wait vs limit in ms.
 	Shed
 	// Drop records best-effort overflow discards on a link (Prev/Arg =
 	// old/new cumulative drop count, Label = link name).

@@ -66,7 +66,7 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 	net := &qmodel.Network{}
 	for i, k := range m.kernels {
 		kb := k.kernelBase()
-		rate := effectiveRate(rep.Kernels[i], blockedNs[i])
+		rate := effectiveRate(rep.Kernels[i], blockedNs[i], elapsed)
 		if rate <= 0 {
 			// Virtual or never-scheduled kernels: infinitely fast sources
 			// from the model's perspective.
@@ -116,7 +116,7 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 	for i, l := range m.links {
 		lambda := float64(rep.Links[i].Pushes) / elapsed
 		dst := m.index[l.Dst.kernelBase()]
-		mu := effectiveRate(rep.Kernels[dst], blockedNs[dst])
+		mu := effectiveRate(rep.Kernels[dst], blockedNs[dst], elapsed)
 		if lambda <= 0 || mu <= 0 {
 			continue
 		}
@@ -128,12 +128,15 @@ func Analyze(m *Map, rep *Report) (*Advice, error) {
 
 // effectiveRate converts a kernel's measured totals into a pure service
 // rate: invocations per second of actual compute time, with port-blocked
-// time removed.
-func effectiveRate(k KernelReport, blockedNs float64) float64 {
+// time removed. Busy time is extrapolated from a timed sample of
+// invocations while blocked time is exact, so for a mostly-blocked kernel a
+// few long sampled waits can push the estimate past the run's wall time;
+// one actor can never be busy longer than elapsedSec, so that caps it.
+func effectiveRate(k KernelReport, blockedNs, elapsedSec float64) float64 {
 	if k.Runs == 0 {
 		return 0
 	}
-	busy := float64(k.BusyNanos) - blockedNs
+	busy := min(float64(k.BusyNanos), elapsedSec*1e9) - blockedNs
 	// Floor at 50ns per invocation: a kernel can't be infinitely fast, and
 	// measurement jitter can drive the subtraction negative.
 	if min := 50 * float64(k.Runs); busy < min {

@@ -99,8 +99,9 @@ type Config struct {
 	// a bounded ring exposed on the Report (see WithTrace).
 	TraceCapacity int
 
-	// TraceStride samples kernel Run spans: one invocation in every
-	// TraceStride emits RunStart/RunEnd (1 = every invocation; 0 = the
+	// TraceStride is the mean gap between sampled kernel invocations: one
+	// invocation in TraceStride on average is timed and, with tracing on,
+	// emits RunStart/RunEnd (1 = every invocation; 0 = the
 	// DefaultTraceStride). Structural events are never sampled.
 	TraceStride int
 
@@ -258,12 +259,16 @@ func WithSplitPolicy(p SplitPolicy) Option { return func(c *Config) { c.SplitPol
 // WithTopology supplies an explicit compute-place model to the mapper.
 func WithTopology(t mapper.Topology) Option { return func(c *Config) { c.Topology = t } }
 
-// DefaultTraceStride is the Run-span sampling stride used by WithTrace:
-// one kernel invocation in every DefaultTraceStride publishes its
-// RunStart/RunEnd pair on the event bus. Sampling keeps the always-on
-// cost of tracing a fine-grained kernel to a local counter increment;
-// structural events (resize, batch, restart, bridge, checkpoint) are
-// never sampled. Use WithTraceStride(1) for exhaustive span capture.
+// DefaultTraceStride is the default mean gap between sampled kernel
+// invocations. Every invocation is counted, but only a random sample —
+// one in DefaultTraceStride on average — reads the clock for service
+// timing and, under WithTrace, publishes its RunStart/RunEnd pair on the
+// event bus. Sampling keeps the always-on cost of a fine-grained kernel's
+// instrumentation to a local counter increment; run counts stay exact,
+// service-time statistics come from the sample and busy time is
+// extrapolated from it. Structural events (resize, batch, restart,
+// bridge, checkpoint) are never sampled. Use WithTraceStride(1) to time
+// and trace every invocation.
 const DefaultTraceStride = 64
 
 // WithTrace records kernel invocation start/end events into a bounded
@@ -281,10 +286,13 @@ func WithTrace(capacity int) Option {
 	}
 }
 
-// WithTraceStride sets the Run-span sampling stride for WithTrace: one
-// invocation in every n emits its RunStart/RunEnd pair. 1 records every
-// invocation (maximum timeline fidelity, measurable cost on sub-µs
-// kernels); larger strides trade span density for overhead.
+// WithTraceStride sets the mean gap between sampled kernel invocations,
+// which are both the ones timed for service statistics and, under
+// WithTrace, the ones that emit RunStart/RunEnd. Gaps are drawn at random
+// around n so the sample cannot alias with a periodic kernel. 1 times and
+// traces every invocation (exact busy time and maximum timeline fidelity,
+// at two clock reads per invocation — measurable on sub-µs kernels);
+// larger strides trade sample density for overhead.
 func WithTraceStride(n int) Option {
 	return func(c *Config) {
 		if n < 1 {
@@ -1075,10 +1083,11 @@ func (m *Map) allocate(cfg *Config) ([]*core.LinkInfo, error) {
 	return infos, nil
 }
 
-// buildActors wraps every kernel into a core.Actor. When tracing is on,
-// each actor carries the shared recorder: core.Actor.StepTimed emits
-// RunStart/RunEnd itself from the same clock reads it uses for duty-cycle
-// accounting, so tracing adds no extra time.Now calls. Kernels that run
+// buildActors wraps every kernel into a core.Actor. Every actor times a
+// random sample of its invocations, one in stride on average. When tracing
+// is on, each actor also carries the shared recorder: core.Actor.StepTimed
+// emits RunStart/RunEnd for the sampled invocations from the same clock
+// reads it uses for service timing, so tracing adds no extra time.Now calls. Kernels that run
 // their own event loops (oar bridges) are handed the recorder through the
 // TraceAttacher interface so their reconnect/replay transitions land on
 // the same bus.
@@ -1107,11 +1116,12 @@ func buildActor(k Kernel, id, place int, rec *trace.Recorder, stride int) *core.
 		// Every actor carries a gate so a later rewrite can pause it at a
 		// step boundary (one atomic load per step when idle).
 		Gate: core.NewGate(),
+		// The stride paces service timing whether or not spans are on.
+		TraceStride: uint32(stride),
 	}
 	if rec != nil {
 		a.Trace = rec
 		a.TraceID = int32(id)
-		a.TraceStride = uint32(stride)
 		if ta, ok := k.(TraceAttacher); ok {
 			ta.AttachTrace(rec, int32(id))
 		}
