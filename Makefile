@@ -68,12 +68,13 @@ ci-test:
 	$(GO) test ./...
 
 # Same package list as `check`: the packages with real concurrency. The
-# ringbuffer package runs three times — the epoch-swap protocol's races
-# are interleaving-dependent, and repeated runs shake out schedules a
-# single pass misses.
+# ringbuffer package runs three times at each of GOMAXPROCS 1, 2 and 4 —
+# the epoch-swap and cached-index protocols' races are interleaving-
+# dependent, the interleavings depend on parallelism, and repeated runs
+# shake out schedules a single pass misses.
 ci-race:
 	$(GO) test -race ./internal/resilience/... ./internal/oar/... ./internal/trace/... ./internal/monitor/... ./internal/stats/... ./raft/...
-	$(GO) test -race -count=3 ./internal/ringbuffer/...
+	$(GO) test -race -count=3 -cpu 1,2,4 ./internal/ringbuffer/...
 
 # Short-budget coverage-guided fuzzing of the lock-free ring: the
 # epoch-swap target gets the full budget, the established model-based

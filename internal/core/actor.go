@@ -79,11 +79,9 @@ type Actor struct {
 	// checkpoints, resizes — are never sampled.
 	TraceStride uint32
 
-	// skip counts down the untimed invocations left before the next
-	// sampled one; rng is the xorshift state drawing the gaps. Both are
-	// touched only by the goroutine stepping the actor.
-	skip uint32
-	rng  uint64
+	// sampler draws the gaps between sampled invocations; only the
+	// goroutine stepping the actor touches it.
+	sampler stats.GapSampler
 }
 
 // StepTimed invokes Step, counting every invocation and timing a random
@@ -97,13 +95,12 @@ type Actor struct {
 // no clock read. A sampled one reads the clock once per edge, and the same
 // captures feed both Service and the trace bus.
 func (a *Actor) StepTimed() Status {
-	if a.skip > 0 {
-		a.skip--
+	if a.sampler.Skip() {
 		st := a.Step()
 		a.Service.Untimed()
 		return st
 	}
-	a.skip = a.nextGap() - 1
+	a.sampler.Draw(a.TraceStride, uint64(a.ID))
 	start := now()
 	if a.Trace == nil {
 		st := a.Step()
@@ -122,31 +119,6 @@ func (a *Actor) StepTimed() Status {
 // (since reads only the monotonic clock, about half the cost of now);
 // tests swap both for a synthetic clock.
 var now, since = time.Now, time.Since
-
-// nextGap draws the number of invocations until the next sampled one,
-// uniform in [1, 2S−1].
-func (a *Actor) nextGap() uint32 {
-	s := a.TraceStride
-	if s <= 1 {
-		return 1
-	}
-	x := a.rng
-	if x == 0 {
-		// splitmix64 of the ID: distinct, non-zero seeds per actor.
-		x = uint64(a.ID) + 0x9E3779B97F4A7C15
-		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-		x = (x ^ x>>27) * 0x94D049BB133111EB
-		x ^= x >> 31
-		if x == 0 {
-			x = 1
-		}
-	}
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	a.rng = x
-	return 1 + uint32(x%(2*uint64(s)-1))
-}
 
 // LinkInfo is the engine's view of one stream (queue) between two actors.
 type LinkInfo struct {

@@ -117,8 +117,8 @@ func (d *DeadlockWatch) frozen() (bool, uint64) {
 	parked := map[int]bool{}
 	var ops uint64
 	for _, l := range d.links {
-		tel := l.Queue.Telemetry()
-		ops += tel.Pushes.Load() + tel.Pops.Load()
+		pushes, pops := l.Queue.Telemetry().Flow()
+		ops += pushes + pops
 		if l.Queue.WriterBlockedFor() > 0 {
 			parked[l.SrcActor] = true
 		}

@@ -77,8 +77,10 @@ func TestDeadlockWatchResetOnProgress(t *testing.T) {
 	w := NewDeadlockWatch(actors, links, 10*time.Millisecond, func(string) { fired = true })
 	base := time.Now()
 	w.Check(base)
-	// Simulate progress: bump a queue counter between checks.
-	links[0].Queue.Telemetry().Pushes.Inc()
+	// Progress between checks: feed the starved consumer one element.
+	if err := links[1].Queue.(*ringbuffer.Ring[int]).Push(7, ringbuffer.SigNone); err != nil {
+		t.Fatal(err)
+	}
 	w.Check(base.Add(15 * time.Millisecond))
 	if fired {
 		t.Fatal("fired despite progress between checks")

@@ -236,27 +236,10 @@ func TestSPSCLenNeverNegative(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSetBackoff verifies the configurable escalation: invalid fields are
-// replaced with defaults, and the previous configuration round-trips.
-func TestSetBackoff(t *testing.T) {
-	prev := SetBackoff(BackoffConfig{SpinLimit: 8, YieldLimit: 16, Sleep: time.Microsecond})
-	defer SetBackoff(prev)
-	cur := SetBackoff(BackoffConfig{})
-	if cur.SpinLimit != 8 || cur.YieldLimit != 16 || cur.Sleep != time.Microsecond {
-		t.Fatalf("previous config not returned: %+v", cur)
-	}
-	// The zero config we just stored must have been sanitized to defaults.
-	got := SetBackoff(prev)
-	if got.SpinLimit != DefaultBackoff.SpinLimit || got.YieldLimit != DefaultBackoff.YieldLimit || got.Sleep != DefaultBackoff.Sleep {
-		t.Fatalf("zero config not sanitized: %+v", got)
-	}
-}
-
 // TestBackoffTransitionCounters checks that a full-queue SPSC push records
-// spin→yield→sleep escalation in the telemetry.
+// spin→yield→sleep escalation in the telemetry: the spinLimit spins and
+// yieldLimit yields run out well inside the 5 ms the push stays blocked.
 func TestBackoffTransitionCounters(t *testing.T) {
-	prev := SetBackoff(BackoffConfig{SpinLimit: 2, YieldLimit: 4, Sleep: time.Microsecond})
-	defer SetBackoff(prev)
 	q := NewSPSC[int](2)
 	q.Push(1, SigNone)
 	q.Push(2, SigNone)

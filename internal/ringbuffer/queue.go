@@ -23,6 +23,7 @@ package ringbuffer
 import (
 	"errors"
 	"math/bits"
+	"sync/atomic"
 	"time"
 )
 
@@ -104,8 +105,12 @@ type Queue interface {
 // Telemetry aggregates per-queue performance counters. The hot-path cost is
 // a handful of atomic adds; see package stats for the primitives.
 type Telemetry struct {
-	Pushes       counter64
-	Pops         counter64
+	// pushes and pops count elements in and out of the mutex ring. The
+	// lock-free ring keeps no such counters: its tail and head sequences
+	// are the counts (see SPSC), and head and tail point at them. Read
+	// both through Flow or Snapshot.
+	pushes, pops counter64
+	head, tail   *atomic.Uint64
 	WriteBlockNs counter64 // cumulative producer block time
 	ReadBlockNs  counter64 // cumulative consumer block time
 	Resizes      counter64
@@ -143,9 +148,12 @@ type Telemetry struct {
 	// write side itself rather than by monitor sampling: bucket i counts
 	// push operations that left the queue at a log2-bucketed occupancy
 	// (bucket 0 = {0,1} elements, bucket i = [2^i, 2^(i+1))). One atomic
-	// increment per push op — batched pushes record once per batch, so the
+	// add per push op — batched pushes record once per batch, so the
 	// histogram weights synchronization points, which is exactly what the
-	// allocator and batcher reason about.
+	// allocator and batcher reason about. The lock-free ring records a
+	// random sample of its single-element pushes, each weighted by its
+	// sampling gap (see SPSC.TryPush), so there the bucket totals track
+	// push ops rather than equal them.
 	occ [OccBuckets]counter64
 }
 
@@ -154,8 +162,9 @@ type Telemetry struct {
 // do not occur).
 const OccBuckets = 33
 
-// recordOcc tallies the occupancy a push operation left behind.
-func (t *Telemetry) recordOcc(n int) {
+// recordOcc tallies the occupancy a push operation left behind, with
+// weight w (the number of push ops the record stands for).
+func (t *Telemetry) recordOcc(n int, w uint64) {
 	i := 0
 	if n > 1 {
 		i = bits.Len64(uint64(n)) - 1
@@ -163,15 +172,22 @@ func (t *Telemetry) recordOcc(n int) {
 			i = OccBuckets - 1
 		}
 	}
-	t.occ[i].Inc()
+	t.occ[i].Add(w)
 }
 
 // Flow returns the cumulative push and pop counts — the per-tick read
 // hook of the online rate estimator (two atomic loads, no snapshot copy:
 // the estimator polls every link on every estimation window, so the full
-// Snapshot would be mostly wasted work).
+// Snapshot would be mostly wasted work). Both counts are exact on both
+// ring kinds. Pops is read first, so a read concurrent with the endpoints
+// never sees more pops than pushes.
 func (t *Telemetry) Flow() (pushes, pops uint64) {
-	return t.Pushes.Load(), t.Pops.Load()
+	if t.tail != nil {
+		pops = t.head.Load()
+		return t.tail.Load(), pops
+	}
+	pops = t.pops.Load()
+	return t.pushes.Load(), pops
 }
 
 // BlockNs returns the cumulative producer and consumer block times — the
@@ -211,8 +227,6 @@ func (t *Telemetry) Drops() uint64 { return t.Dropped.Load() }
 // Snapshot returns a plain-value copy of the counters.
 func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	s := TelemetrySnapshot{
-		Pushes:       t.Pushes.Load(),
-		Pops:         t.Pops.Load(),
 		WriteBlockNs: t.WriteBlockNs.Load(),
 		ReadBlockNs:  t.ReadBlockNs.Load(),
 		Resizes:      t.Resizes.Load(),
@@ -228,6 +242,7 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	for i := range s.Occupancy {
 		s.Occupancy[i] = t.occ[i].Load()
 	}
+	s.Pushes, s.Pops = t.Flow()
 	return s
 }
 
@@ -251,7 +266,8 @@ type TelemetrySnapshot struct {
 	Views      uint64
 	ViewHoldNs uint64
 	// Occupancy is the per-push log2 occupancy histogram (see Telemetry.occ
-	// for bucket semantics). Quantiles come from stats.LogQuantile.
+	// for bucket semantics; sampled on the lock-free ring). Quantiles come
+	// from stats.LogQuantile.
 	Occupancy [OccBuckets]uint64
 }
 

@@ -257,8 +257,8 @@ func (r *Ring[T]) Push(v T, sig Signal) error {
 	r.vals[i] = v
 	r.setSigAt(i, sig)
 	r.n++
-	r.tel.Pushes.Inc()
-	r.tel.recordOcc(r.n)
+	r.tel.pushes.Inc()
+	r.tel.recordOcc(r.n, 1)
 	r.notEmpty.Signal()
 	r.wokeNotEmpty(wasEmpty)
 	return nil
@@ -283,8 +283,8 @@ func (r *Ring[T]) TryPush(v T, sig Signal) (bool, error) {
 	r.vals[i] = v
 	r.setSigAt(i, sig)
 	r.n++
-	r.tel.Pushes.Inc()
-	r.tel.recordOcc(r.n)
+	r.tel.pushes.Inc()
+	r.tel.recordOcc(r.n, 1)
 	r.notEmpty.Signal()
 	r.wokeNotEmpty(wasEmpty)
 	return true, nil
@@ -315,8 +315,8 @@ func (r *Ring[T]) PushBatch(vs []T, sig Signal) error {
 			r.setSigAt(i, s)
 			r.n++
 		}
-		r.tel.Pushes.Add(uint64(k))
-		r.tel.recordOcc(r.n)
+		r.tel.pushes.Add(uint64(k))
+		r.tel.recordOcc(r.n, 1)
 		vs = vs[k:]
 		r.notEmpty.Broadcast()
 		r.wokeNotEmpty(wasEmpty)
@@ -370,8 +370,8 @@ func (r *Ring[T]) PushN(vs []T, sigs []Signal) error {
 		if sigs != nil {
 			sigs = sigs[k:]
 		}
-		r.tel.Pushes.Add(uint64(k))
-		r.tel.recordOcc(r.n)
+		r.tel.pushes.Add(uint64(k))
+		r.tel.recordOcc(r.n, 1)
 		r.notEmpty.Broadcast()
 		r.wokeNotEmpty(wasEmpty)
 	}
@@ -619,7 +619,7 @@ func (r *Ring[T]) dropLocked(k int) {
 		// (head+n) mod cap and must not move.
 		r.head = 0
 	}
-	r.tel.Pops.Add(uint64(k))
+	r.tel.pops.Add(uint64(k))
 	r.notFull.Broadcast()
 	if wasFull && k > 0 && r.wake != nil {
 		r.wake(WakeNotFull)

@@ -2,6 +2,8 @@ package ringbuffer
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -487,7 +489,7 @@ func TestRingPushBatch(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Telemetry().Pushes.Load(); got != 8 {
+	if got := r.Telemetry().Snapshot().Pushes; got != 8 {
 		t.Fatalf("pushes = %d, want 8", got)
 	}
 }
@@ -729,23 +731,102 @@ func TestOccupancyHistogramRing(t *testing.T) {
 	}
 }
 
+// occTotal sums the occupancy histogram's bucket weights.
+func occTotal(s TelemetrySnapshot) uint64 {
+	var n uint64
+	for _, c := range s.Occupancy {
+		n += c
+	}
+	return n
+}
+
+// TestOccupancyHistogramSPSC pins the lock-free ring's sampled contract:
+// single-element pushes record a random sample weighted by gap, the first
+// push is always sampled, bucket totals track the push count within one
+// gap, and PushN still records exactly once per batch.
 func TestOccupancyHistogramSPSC(t *testing.T) {
-	q := NewSPSC[int](8)
-	for i := 0; i < 3; i++ {
+	q := NewSPSC[int](1024)
+	if ok, err := q.TryPush(0, SigNone); !ok || err != nil {
+		t.Fatalf("push: ok=%v err=%v", ok, err)
+	}
+	snap := q.Telemetry().Snapshot()
+	if w := snap.Occupancy[0]; w < 1 || w > 2*occStride-1 || occTotal(snap) != w {
+		t.Fatalf("first push not sampled into bucket 0 with a gap weight: %v", snap.Occupancy[:3])
+	}
+	for i := 1; i < 500; i++ {
 		if ok, err := q.TryPush(i, SigNone); !ok || err != nil {
 			t.Fatalf("push %d: ok=%v err=%v", i, ok, err)
 		}
+		if w := occTotal(q.Telemetry().Snapshot()); w < uint64(i+1) || w > uint64(i+2*occStride-1) {
+			t.Fatalf("after %d pushes the weighted total is %d, want within one gap of it", i+1, w)
+		}
 	}
-	snap := q.Telemetry().Snapshot()
-	// Occupancies 1, 2, 3 -> buckets 0, 1, 1.
-	if snap.Occupancy[0] != 1 || snap.Occupancy[1] != 2 {
-		t.Fatalf("occupancy buckets = %v", snap.Occupancy[:3])
+	if n, err := q.DrainTo(make([]int, 500), nil); n != 500 || err != nil {
+		t.Fatalf("drain = %d, %v", n, err)
 	}
-	if err := q.PushN(make([]int, 5), nil); err != nil {
+	before := q.Telemetry().Snapshot()
+	if err := q.PushN(make([]int, 12), nil); err != nil {
 		t.Fatal(err)
 	}
-	snap = q.Telemetry().Snapshot()
-	if snap.Occupancy[3] != 1 { // 3+5 = 8 -> bucket 3
-		t.Fatalf("bulk occupancy buckets = %v", snap.Occupancy[:5])
+	after := q.Telemetry().Snapshot()
+	for i := range after.Occupancy {
+		want := before.Occupancy[i]
+		if i == 3 { // 12 -> bucket 3
+			want++
+		}
+		if after.Occupancy[i] != want {
+			t.Fatalf("PushN recorded %v, want one op in bucket 3 over %v", after.Occupancy[:5], before.Occupancy[:5])
+		}
 	}
+}
+
+// TestOccupancySamplingNoAliasing drives 32-element bursts (push 32 one at
+// a time, drain them) into both ring kinds. The mutex ring records every
+// push; the lock-free ring's random-gap sample must land its weighted mean
+// within 25% of that exact mean. A fixed stride of occStride divides the
+// 32-push period evenly and sees one occupancy forever; the test first
+// checks that this workload really defeats such a stride.
+func TestOccupancySamplingNoAliasing(t *testing.T) {
+	const burst, bursts = 32, 2000
+	q := NewSPSC[int](64)
+	r := NewRing[int](64)
+	var fixedSum, fixedN float64
+	dst := make([]int, burst)
+	for b := 0; b < bursts; b++ {
+		for i := 0; i < burst; i++ {
+			if ok, err := q.TryPush(i, SigNone); !ok || err != nil {
+				t.Fatalf("push: ok=%v err=%v", ok, err)
+			}
+			if err := r.Push(i, SigNone); err != nil {
+				t.Fatal(err)
+			}
+			if (b*burst+i)%occStride == 0 {
+				fixedSum += occMid(i + 1)
+				fixedN++
+			}
+		}
+		if n, err := q.DrainTo(dst, nil); n != burst || err != nil {
+			t.Fatalf("spsc drain = %d, %v", n, err)
+		}
+		if n, err := r.DrainTo(dst, nil); n != burst || err != nil {
+			t.Fatalf("ring drain = %d, %v", n, err)
+		}
+	}
+	n, w := r.Telemetry().OccStats()
+	exact := w / float64(n)
+	if fixed := fixedSum / fixedN; math.Abs(fixed-exact) <= 0.25*exact {
+		t.Fatalf("fixed-stride mean %.2f is within 25%% of exact %.2f: the bursts no longer alias", fixed, exact)
+	}
+	n, w = q.Telemetry().OccStats()
+	if got := w / float64(n); math.Abs(got-exact) > 0.25*exact {
+		t.Fatalf("sampled mean occupancy %.2f, exact %.2f: off by more than 25%%", got, exact)
+	}
+}
+
+// occMid is the bucket midpoint OccStats assigns occupancy n.
+func occMid(n int) float64 {
+	if n <= 1 {
+		return 1
+	}
+	return 1.5 * float64(uint64(1)<<(bits.Len64(uint64(n))-1))
 }

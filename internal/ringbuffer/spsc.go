@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"raftlib/internal/stats"
 )
 
 // SPSC is a lock-free single-producer single-consumer ring. It trades
@@ -18,34 +20,60 @@ import (
 //
 // The implementation uses monotonically increasing head/tail sequence
 // counters (never wrapped), masked into a power-of-two buffer per
-// epoch — the classic Lamport queue with cache-line padding between
-// the producer and consumer fields to avoid false sharing. Because the
-// sequences are global across epochs, Len and all Telemetry counters
-// (Flow, OccStats, block times) stay coherent across a swap.
+// epoch — the classic Lamport queue. The struct is split into three
+// regions, each padded onto cache lines of its own: the producer-owned
+// fields, the consumer-owned fields and the read-mostly control fields.
+// A steady-state push or pop writes only its own side's lines, and it
+// reads the peer's index only when its cached copy (FastForward style)
+// says the ring is full or empty. A stale cache is conservative: it can
+// only under-report free space or buffered data.
+//
+// Because the sequences are global across epochs, a shed element never
+// advances tail, and this ring never evicts, the sequences are the flow
+// counters: Pushes == tail and Pops == head by construction. Telemetry
+// reads them directly, so no per-element counter is kept.
 type SPSC[T any] struct {
-	_pad0 [64]byte
-	tail  atomic.Uint64 // next write sequence (producer-owned)
-	prod  *spscSeg[T]   // epoch being written (producer-owned)
-	// Write-view state (producer-owned, plain: see view.go). wviewT is the
-	// tail sequence the outstanding write view was acquired at.
-	wviewOut bool
-	wviewN   int
-	wviewT   uint64
+	_ [64]byte
 
-	_pad1 [64]byte
-	head  atomic.Uint64 // next read sequence (consumer-owned)
-	cons  *spscSeg[T]   // epoch being read (consumer-owned)
+	// Producer-owned. tail is the next write sequence; headCache is the
+	// newest head the producer has loaded (a lower bound on head); prod is
+	// the epoch being written. The write-view state is plain (see
+	// view.go): wviewT is the tail the outstanding write view was acquired
+	// at. occ picks the single-element pushes whose occupancy is recorded
+	// (see TryPush).
+	tail      atomic.Uint64
+	headCache uint64
+	prod      *spscSeg[T]
+	wviewOut  bool
+	wviewN    int
+	wviewT    uint64
+	occ       stats.GapSampler
+	// writerBlockSince is the UnixNano the producer began spinning on a
+	// full queue (0 when not blocked); wviewSince the UnixNano the write
+	// view was acquired at (0 when none is out). Both are read lock-free
+	// by the monitor.
+	writerBlockSince atomic.Int64
+	wviewSince       atomic.Int64
 
-	// Read-view state (consumer-owned, plain). viewH is the head sequence
-	// the outstanding read view was acquired at.
-	viewOut bool
-	viewN   int
-	viewH   uint64
+	_ [64]byte
 
-	_pad2 [64]byte
+	// Consumer-owned. head is the next read sequence; tailCache is the
+	// newest tail the consumer has loaded (a lower bound on tail); cons is
+	// the epoch being read. viewH is the head the outstanding read view
+	// was acquired at.
+	head             atomic.Uint64
+	tailCache        uint64
+	cons             *spscSeg[T]
+	viewOut          bool
+	viewN            int
+	viewH            uint64
+	readerBlockSince atomic.Int64
+	viewSince        atomic.Int64
 
-	// active is the newest epoch, for third-party observers (Cap);
-	// pending is a monitor-published swap request awaiting the
+	_ [64]byte
+
+	// Read-mostly. active is the newest epoch, for third-party observers
+	// (Cap); pending is a monitor-published swap request awaiting the
 	// producer (see spsc_resize.go).
 	active  atomic.Pointer[spscSeg[T]]
 	pending atomic.Pointer[spscSeg[T]]
@@ -67,17 +95,15 @@ type SPSC[T any] struct {
 	// parking endpoint could have decided on, and the scheduler's watchdog
 	// rescues the pathological remainder. See WakeHooker.
 	wake atomic.Pointer[func(Wake)]
-	tel  Telemetry
 
-	writerBlockSince atomic.Int64
-	readerBlockSince atomic.Int64
+	_ [64]byte
 
-	// viewSince / wviewSince hold the UnixNano a read/write view was
-	// acquired at (0 when none is out), read lock-free by the monitor's
-	// ViewHeldFor probe.
-	viewSince  atomic.Int64
-	wviewSince atomic.Int64
+	tel Telemetry
 }
+
+// occStride is the mean gap S between single-element pushes whose
+// occupancy TryPush records (see TryPush).
+const occStride = 64
 
 // NewSPSC returns a lock-free ring whose capacity is capacity rounded up to
 // a power of two (minimum 2).
@@ -87,6 +113,7 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	q.prod = seg
 	q.cons = seg
 	q.active.Store(seg)
+	q.tel.head, q.tel.tail = &q.head, &q.tail
 	return q
 }
 
@@ -193,6 +220,14 @@ func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
 // accepted and returns ErrClosed on a closed queue. A pending epoch swap
 // is installed first, so a full old ring never wedges the producer once
 // the monitor has granted more space.
+//
+// The consumer's head is re-read only when the cached copy says the ring
+// is full, and on the pushes whose occupancy is recorded: recording every
+// push exactly would cost a head read (a consumer-owned line) per
+// element. Those pushes are a random sample, one in occStride on average
+// (stats.GapSampler), and each records with its gap as weight, so the
+// histogram's bucket totals track the push count and its mean and
+// quantiles stay unbiased.
 func (q *SPSC[T]) TryPush(v T, sig Signal) (bool, error) {
 	if q.closed.Load() {
 		return false, ErrClosed
@@ -202,16 +237,21 @@ func (q *SPSC[T]) TryPush(v T, sig Signal) (bool, error) {
 		q.install(t)
 	}
 	s := q.prod
-	h := q.head.Load()
-	if s.freeAt(t, h) == 0 {
-		return false, nil // full
+	if s.freeAt(t, q.headCache) == 0 {
+		q.headCache = q.head.Load()
+		if s.freeAt(t, q.headCache) == 0 {
+			return false, nil // full
+		}
 	}
 	i := (t - s.base) & s.mask
 	s.vals[i] = v
 	s.sigs[i] = sig
 	q.tail.Store(t + 1) // release: publishes the slot
-	q.tel.Pushes.Inc()
-	q.tel.recordOcc(int(t + 1 - h))
+	if !q.occ.Skip() {
+		w := q.occ.Draw(occStride, 0)
+		q.headCache = q.head.Load()
+		q.tel.recordOcc(int(t+1-q.headCache), uint64(w))
+	}
 	q.notifyPushed(t)
 	return true, nil
 }
@@ -269,6 +309,7 @@ func (q *SPSC[T]) PushN(vs []T, sigs []Signal) error {
 		}
 		s := q.prod
 		h := q.head.Load()
+		q.headCache = h
 		free := s.freeAt(t, h)
 		if free == 0 {
 			if q.bestEffort.Load() {
@@ -308,8 +349,7 @@ func (q *SPSC[T]) PushN(vs []T, sigs []Signal) error {
 			copy(s.sigs, sigs[first:k])
 		}
 		q.tail.Store(t + uint64(k)) // release: publishes the whole batch
-		q.tel.Pushes.Add(uint64(k))
-		q.tel.recordOcc(int(t + uint64(k) - h))
+		q.tel.recordOcc(int(t+uint64(k)-h), 1)
 		q.notifyPushed(t)
 		vs = vs[k:]
 		if sigs != nil {
@@ -358,14 +398,14 @@ func (q *SPSC[T]) DrainTo(dst []T, sigs []Signal) (int, error) {
 	}
 	h := q.head.Load()
 	h0 := h
-	t := q.tail.Load()
+	t := q.loadTail()
 	if t == h {
 		if !q.closed.Load() {
 			return 0, nil
 		}
 		// Re-check emptiness after observing closed: the producer may
 		// have pushed between our tail load and its Close.
-		t = q.tail.Load()
+		t = q.loadTail()
 		if t == h {
 			return 0, ErrClosed
 		}
@@ -398,7 +438,6 @@ func (q *SPSC[T]) DrainTo(dst []T, sigs []Signal) (int, error) {
 		total += n
 	}
 	q.head.Store(h) // release: consumes the whole batch
-	q.tel.Pops.Add(uint64(total))
 	if total > 0 {
 		q.notifyPopped(h0)
 	}
@@ -414,17 +453,20 @@ func (q *SPSC[T]) clearWriterBlock(blockedAt int64) {
 
 // TryPop removes the oldest element without blocking. ok reports whether an
 // element was returned; err is ErrClosed once the queue is closed and empty.
+// The producer's tail is re-read only when the cached copy says the ring is
+// empty. Every consumer path that advances head refreshes the cache first
+// (loadTail), so head never passes it; the test is >= rather than == so a
+// cache that did fall behind head would still force a refresh.
 func (q *SPSC[T]) TryPop() (v T, s Signal, ok bool, err error) {
 	h := q.head.Load()
-	if h == q.tail.Load() {
-		if q.closed.Load() {
-			// Re-check emptiness after observing closed: the producer may
-			// have pushed between our tail load and its Close.
-			if h == q.tail.Load() {
-				return v, SigNone, false, ErrClosed
-			}
-		} else {
+	if h >= q.tailCache && h == q.loadTail() {
+		if !q.closed.Load() {
 			return v, SigNone, false, nil
+		}
+		// Re-check emptiness after observing closed: the producer may
+		// have pushed between our tail load and its Close.
+		if h == q.loadTail() {
+			return v, SigNone, false, ErrClosed
 		}
 	}
 	seg := q.segFor(h)
@@ -434,9 +476,16 @@ func (q *SPSC[T]) TryPop() (v T, s Signal, ok bool, err error) {
 	var zero T
 	seg.vals[i] = zero
 	q.head.Store(h + 1)
-	q.tel.Pops.Inc()
 	q.notifyPopped(h)
 	return v, s, true, nil
+}
+
+// loadTail reads the producer's tail and refreshes the consumer's cached
+// copy. Consumer-only.
+func (q *SPSC[T]) loadTail() uint64 {
+	t := q.tail.Load()
+	q.tailCache = t
+	return t
 }
 
 // Pop removes the oldest element, spinning while the queue is empty. Once
@@ -496,69 +545,35 @@ func (q *SPSC[T]) PendingDemand() int { return 0 }
 // Telemetry returns the queue's performance counters.
 func (q *SPSC[T]) Telemetry() *Telemetry { return &q.tel }
 
-// BackoffConfig tunes the spin-escalation policy a blocked SPSC endpoint
-// follows: SpinLimit pure busy-spins, then Gosched yields until YieldLimit
-// total iterations, then timed sleeps of Sleep each. The escalation
-// transitions (spin→yield and yield→sleep) are counted in the queue's
-// Telemetry so the contention a link suffers is directly observable.
-type BackoffConfig struct {
-	SpinLimit  int
-	YieldLimit int
-	Sleep      time.Duration
-}
-
-// DefaultBackoff is the escalation used unless SetBackoff overrides it.
-var DefaultBackoff = BackoffConfig{SpinLimit: 64, YieldLimit: 256, Sleep: 10 * time.Microsecond}
-
-// backoffCfg holds the active policy; read lock-free on the spin path.
-var backoffCfg atomic.Pointer[BackoffConfig]
-
-// SetBackoff installs a new escalation policy for every SPSC queue in the
-// process (non-positive fields fall back to DefaultBackoff's values) and
-// returns the previous policy. Intended for experiments and tuning, not the
-// hot path.
-func SetBackoff(cfg BackoffConfig) BackoffConfig {
-	prev := loadBackoff()
-	if cfg.SpinLimit <= 0 {
-		cfg.SpinLimit = DefaultBackoff.SpinLimit
-	}
-	if cfg.YieldLimit <= cfg.SpinLimit {
-		cfg.YieldLimit = cfg.SpinLimit + (DefaultBackoff.YieldLimit - DefaultBackoff.SpinLimit)
-	}
-	if cfg.Sleep <= 0 {
-		cfg.Sleep = DefaultBackoff.Sleep
-	}
-	backoffCfg.Store(&cfg)
-	return prev
-}
-
-// loadBackoff returns the active escalation policy.
-func loadBackoff() BackoffConfig {
-	if p := backoffCfg.Load(); p != nil {
-		return *p
-	}
-	return DefaultBackoff
-}
+// The escalation a blocked SPSC endpoint follows: spinLimit pure
+// busy-spins, then Gosched yields until yieldLimit total iterations, then
+// timed sleeps of spinSleep each. The tier transitions (spin→yield and
+// yield→sleep) are counted in the queue's Telemetry so the contention a
+// link suffers is directly observable.
+const (
+	spinLimit  = 64
+	yieldLimit = 256
+	spinSleep  = 10 * time.Microsecond
+)
 
 // backoff escalates from busy spinning to Gosched to short sleeps so a
 // blocked side does not monopolize a core indefinitely, recording each tier
 // transition in the queue's telemetry.
 func backoff(spins *int, tel *Telemetry) {
-	cfg := loadBackoff()
 	*spins++
 	switch {
-	case *spins < cfg.SpinLimit:
+	case *spins < spinLimit:
 		// busy spin
-	case *spins < cfg.YieldLimit:
-		if *spins == cfg.SpinLimit {
+	case *spins < yieldLimit:
+		if *spins == spinLimit {
 			tel.SpinYields.Inc()
 		}
 		runtime.Gosched()
 	default:
-		if *spins == cfg.YieldLimit {
+		if *spins == yieldLimit {
 			tel.SpinSleeps.Inc()
 		}
-		time.Sleep(cfg.Sleep)
+		time.Sleep(spinSleep)
 	}
 }
 

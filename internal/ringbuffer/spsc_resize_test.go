@@ -352,10 +352,14 @@ func FuzzSPSCResize(f *testing.F) {
 // model. Single-threaded use is legal SPSC use (the same goroutine is
 // both endpoints), and it makes every install/seal/follow transition
 // deterministic for the fuzzer to reach.
-// Ops: 0-89 TryPush, 90-179 TryPop, 180-229 Resize, 230-255 DrainTo.
+// After every op, Flow and Snapshot must report exactly the model's push,
+// pop and shed counts.
+// Ops: 0-89 TryPush, 90-179 TryPop, 180-229 Resize, 230-249 DrainTo,
+// 250-252 best-effort Push, 253-255 best-effort PushN.
 func FuzzSPSCModelResize(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 4, 100, 100, 100, 100, 240})
 	f.Add([]byte{10, 181, 10, 10, 10, 10, 10, 10, 10, 10, 229, 150, 235})
+	f.Add([]byte{250, 250, 251, 252, 200, 253, 254, 100, 255, 181, 250, 251, 240})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			t.Skip()
@@ -369,6 +373,16 @@ func FuzzSPSCModelResize(f *testing.F) {
 		q := NewSPSC[int](2)
 		var model []int
 		next := 0
+		var pushed, shed uint64
+		// signalFree advances next past values that carry a signal, which
+		// a best-effort push would block on rather than shed.
+		signalFree := func() int {
+			for sigFor(next) != SigNone {
+				next++
+			}
+			next++
+			return next - 1
+		}
 		for _, op := range ops {
 			switch {
 			case op < 90:
@@ -379,6 +393,7 @@ func FuzzSPSCModelResize(f *testing.F) {
 				if ok {
 					model = append(model, next)
 					next++
+					pushed++
 				} else if q.ResizePending() {
 					t.Fatal("TryPush failed with an installable grow pending")
 				}
@@ -406,6 +421,35 @@ func FuzzSPSCModelResize(f *testing.F) {
 				} else if err != nil {
 					t.Fatalf("resize err: %v", err)
 				}
+			case op >= 253:
+				vs := make([]int, op-251)
+				for i := range vs {
+					vs[i] = signalFree()
+				}
+				dropped := q.Telemetry().Drops()
+				q.SetBestEffort(true)
+				if err := q.PushN(vs, nil); err != nil {
+					t.Fatalf("best-effort PushN err: %v", err)
+				}
+				q.SetBestEffort(false)
+				lost := q.Telemetry().Drops() - dropped
+				model = append(model, vs[:uint64(len(vs))-lost]...)
+				pushed += uint64(len(vs)) - lost
+				shed += lost
+			case op >= 250:
+				v := signalFree()
+				dropped := q.Telemetry().Drops()
+				q.SetBestEffort(true)
+				if err := q.Push(v, SigNone); err != nil {
+					t.Fatalf("best-effort push err: %v", err)
+				}
+				q.SetBestEffort(false)
+				if q.Telemetry().Drops() == dropped {
+					model = append(model, v)
+					pushed++
+				} else {
+					shed++
+				}
 			default:
 				k := int(op)%5 + 1
 				dst := make([]int, k)
@@ -427,6 +471,7 @@ func FuzzSPSCModelResize(f *testing.F) {
 			if q.Len() != len(model) {
 				t.Fatalf("len = %d, model %d", q.Len(), len(model))
 			}
+			checkFlow(t, q.Telemetry(), pushed, pushed-uint64(len(model)), shed)
 		}
 		// Drain the remainder and re-verify order + signals after close.
 		q.Close()
@@ -442,5 +487,18 @@ func FuzzSPSCModelResize(f *testing.F) {
 		if _, _, err := q.Pop(); !errors.Is(err, ErrClosed) {
 			t.Fatalf("final pop err = %v, want ErrClosed", err)
 		}
+		checkFlow(t, q.Telemetry(), pushed, pushed, shed)
 	})
+}
+
+// checkFlow asserts that Flow and Snapshot report exactly the model's
+// push, pop and drop counts.
+func checkFlow(t *testing.T, tel *Telemetry, pushes, pops, dropped uint64) {
+	t.Helper()
+	p, c := tel.Flow()
+	s := tel.Snapshot()
+	if p != pushes || c != pops || s.Pushes != pushes || s.Pops != pops || s.Dropped != dropped {
+		t.Fatalf("Flow %d/%d, Snapshot %d/%d dropped %d; model %d/%d dropped %d",
+			p, c, s.Pushes, s.Pops, s.Dropped, pushes, pops, dropped)
+	}
 }

@@ -2,10 +2,12 @@ package ringbuffer
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSPSCCapacityRounding(t *testing.T) {
@@ -249,6 +251,174 @@ func TestSPSCPropertyFIFO(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSPSCLayout guards the cache-line split: the producer-written,
+// consumer-written and read-mostly fields, and the telemetry block, each
+// sit at least 64 bytes from the next region, so no cache line holds
+// fields of two regions wherever the allocator places the ring.
+func TestSPSCLayout(t *testing.T) {
+	var q SPSC[int]
+	type field struct {
+		name      string
+		off, size uintptr
+	}
+	regions := [][]field{
+		{
+			{"tail", unsafe.Offsetof(q.tail), unsafe.Sizeof(q.tail)},
+			{"headCache", unsafe.Offsetof(q.headCache), unsafe.Sizeof(q.headCache)},
+			{"prod", unsafe.Offsetof(q.prod), unsafe.Sizeof(q.prod)},
+			{"wviewOut", unsafe.Offsetof(q.wviewOut), unsafe.Sizeof(q.wviewOut)},
+			{"wviewN", unsafe.Offsetof(q.wviewN), unsafe.Sizeof(q.wviewN)},
+			{"wviewT", unsafe.Offsetof(q.wviewT), unsafe.Sizeof(q.wviewT)},
+			{"occ", unsafe.Offsetof(q.occ), unsafe.Sizeof(q.occ)},
+			{"writerBlockSince", unsafe.Offsetof(q.writerBlockSince), unsafe.Sizeof(q.writerBlockSince)},
+			{"wviewSince", unsafe.Offsetof(q.wviewSince), unsafe.Sizeof(q.wviewSince)},
+		},
+		{
+			{"head", unsafe.Offsetof(q.head), unsafe.Sizeof(q.head)},
+			{"tailCache", unsafe.Offsetof(q.tailCache), unsafe.Sizeof(q.tailCache)},
+			{"cons", unsafe.Offsetof(q.cons), unsafe.Sizeof(q.cons)},
+			{"viewOut", unsafe.Offsetof(q.viewOut), unsafe.Sizeof(q.viewOut)},
+			{"viewN", unsafe.Offsetof(q.viewN), unsafe.Sizeof(q.viewN)},
+			{"viewH", unsafe.Offsetof(q.viewH), unsafe.Sizeof(q.viewH)},
+			{"readerBlockSince", unsafe.Offsetof(q.readerBlockSince), unsafe.Sizeof(q.readerBlockSince)},
+			{"viewSince", unsafe.Offsetof(q.viewSince), unsafe.Sizeof(q.viewSince)},
+		},
+		{
+			{"active", unsafe.Offsetof(q.active), unsafe.Sizeof(q.active)},
+			{"pending", unsafe.Offsetof(q.pending), unsafe.Sizeof(q.pending)},
+			{"closed", unsafe.Offsetof(q.closed), unsafe.Sizeof(q.closed)},
+			{"bestEffort", unsafe.Offsetof(q.bestEffort), unsafe.Sizeof(q.bestEffort)},
+			{"wake", unsafe.Offsetof(q.wake), unsafe.Sizeof(q.wake)},
+		},
+		{
+			{"tel", unsafe.Offsetof(q.tel), unsafe.Sizeof(q.tel)},
+		},
+	}
+	const line = 64
+	end := uintptr(0) // the leading pad keeps the first region off whatever precedes the ring
+	for r, fields := range regions {
+		lo, hi := ^uintptr(0), uintptr(0)
+		for _, f := range fields {
+			lo = min(lo, f.off)
+			hi = max(hi, f.off+f.size)
+		}
+		if lo < end+line {
+			t.Errorf("region %d (%s...) starts at %d, within %d bytes of the previous region's end %d", r, fields[0].name, lo, line, end)
+		}
+		end = hi
+	}
+	if unsafe.Sizeof(q) != end {
+		t.Errorf("fields past the telemetry block: size %d, telemetry ends at %d", unsafe.Sizeof(q), end)
+	}
+}
+
+// TestSPSCFlowConcurrent races an observer against a producer and a
+// consumer that mix scalar, bulk and view operations across epoch swaps:
+// every concurrent Flow or Snapshot read must see Pops <= Pushes, and at
+// quiescence Pushes == Pops + Len exactly. Run it under -race.
+func TestSPSCFlowConcurrent(t *testing.T) {
+	const total, backlog = 20_000, 2 // the backlog fits the smallest ring
+	q := NewSPSC[int](4)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(2)
+	go func() { // producer
+		defer wg.Done()
+		nextResize := 500
+		for i := 0; i < total; {
+			switch i % 3 {
+			case 0:
+				if err := q.Push(i, SigNone); err != nil {
+					t.Error(err)
+					return
+				}
+				i++
+			case 1:
+				k := min(5, total-i)
+				if err := q.PushN(make([]int, k), nil); err != nil {
+					t.Error(err)
+					return
+				}
+				i += k
+			default:
+				wv, err := q.AcquireWriteView(3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				k := min(wv.Len(), total-i)
+				q.ReleaseWriteView(k)
+				i += k
+			}
+			if i >= nextResize && !q.ResizePending() {
+				_ = q.Resize(2 << (i / 500 % 5))
+				nextResize += 500
+			}
+		}
+	}()
+	go func() { // observer
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if pushes, pops := q.Telemetry().Flow(); pops > pushes {
+				t.Errorf("Flow pops %d > pushes %d", pops, pushes)
+				return
+			}
+			if s := q.Telemetry().Snapshot(); s.Pops > s.Pushes {
+				t.Errorf("Snapshot pops %d > pushes %d", s.Pops, s.Pushes)
+				return
+			}
+			runtime.Gosched() // leave the endpoints a core at GOMAXPROCS=1
+		}
+	}()
+	dst := make([]int, 7)
+	for popped, k := 0, 0; popped < total-backlog; k++ { // consumer
+		switch k % 3 {
+		case 0:
+			if _, _, err := q.Pop(); err != nil {
+				t.Fatal(err)
+			}
+			popped++
+		case 1:
+			n, err := q.PopN(dst[:min(len(dst), total-backlog-popped)], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			popped += n
+		default:
+			v, err := q.AcquireView(min(4, total-backlog-popped))
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.ReleaseView(v.Len())
+			popped += v.Len()
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); q.Len() < backlog; { // let the producer finish
+		if time.Now().After(deadline) {
+			t.Fatalf("producer stalled with %d buffered", q.Len())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	pushes, pops := q.Telemetry().Flow()
+	snap := q.Telemetry().Snapshot()
+	if pushes != total || pops != total-backlog || snap.Pushes != pushes || snap.Pops != pops {
+		t.Fatalf("flow %d/%d, snapshot %d/%d, want %d/%d", pushes, pops, snap.Pushes, snap.Pops, total, total-backlog)
+	}
+	if pushes != pops+uint64(q.Len()) {
+		t.Fatalf("pushes %d != pops %d + len %d at quiescence", pushes, pops, q.Len())
+	}
+	if snap.Resizes == 0 {
+		t.Fatal("no epoch swap installed during the run")
 	}
 }
 

@@ -309,8 +309,8 @@ func (r *Ring[T]) ReleaseWriteView(n int) {
 	if n > 0 {
 		wasEmpty := r.n == 0
 		r.n += n
-		r.tel.Pushes.Add(uint64(n))
-		r.tel.recordOcc(r.n)
+		r.tel.pushes.Add(uint64(n))
+		r.tel.recordOcc(r.n, 1)
 		r.notEmpty.Broadcast()
 		r.wokeNotEmpty(wasEmpty)
 	}
@@ -385,14 +385,14 @@ func (q *SPSC[T]) TryAcquireView(max int) (View[T], error) {
 		panic("ringbuffer: TryAcquireView with a read view already outstanding")
 	}
 	h := q.head.Load()
-	t := q.tail.Load()
+	t := q.loadTail()
 	if t == h {
 		if !q.closed.Load() {
 			return View[T]{}, nil
 		}
 		// Re-check emptiness after observing closed: the producer may have
 		// pushed between our tail load and its Close.
-		t = q.tail.Load()
+		t = q.loadTail()
 		if t == h {
 			return View[T]{}, ErrClosed
 		}
@@ -415,8 +415,8 @@ func (q *SPSC[T]) TryAcquireView(max int) (View[T], error) {
 }
 
 // ReleaseView ends the outstanding read view, consuming its first n
-// elements with a single head publish (they count as Pops, like DrainTo);
-// the rest stay buffered.
+// elements with a single head publish (the head advance counts them as
+// Pops, like DrainTo); the rest stay buffered.
 func (q *SPSC[T]) ReleaseView(n int) {
 	if !q.viewOut {
 		panic("ringbuffer: ReleaseView without an outstanding view")
@@ -446,7 +446,6 @@ func (q *SPSC[T]) ReleaseView(n int) {
 		s.vals[j] = zero
 	}
 	q.head.Store(h + uint64(n))
-	q.tel.Pops.Add(uint64(n))
 	q.notifyPopped(h)
 }
 
@@ -497,6 +496,7 @@ func (q *SPSC[T]) TryAcquireWriteView(max int) (WriteView[T], error) {
 	}
 	s := q.prod
 	h := q.head.Load()
+	q.headCache = h
 	free := s.freeAt(t, h)
 	if free == 0 {
 		return WriteView[T]{}, nil
@@ -541,8 +541,8 @@ func (q *SPSC[T]) ReleaseWriteView(n int) {
 		return
 	}
 	q.tail.Store(t + uint64(n)) // release: publishes the batch
-	q.tel.Pushes.Add(uint64(n))
-	q.tel.recordOcc(int(t + uint64(n) - q.head.Load()))
+	q.headCache = q.head.Load()
+	q.tel.recordOcc(int(t+uint64(n)-q.headCache), 1)
 	q.notifyPushed(t)
 }
 

@@ -660,7 +660,8 @@ func FuzzViewResize(f *testing.F) {
 // views, checking every observation against a plain-slice model. The first
 // op byte selects the ring kind. Ops: 0-59 TryPush, 60-109 TryPop,
 // 110-149 Resize, 150-179 acquire read view, 180-209 release read view,
-// 210-239 acquire+fill write view, 240-255 release write view.
+// 210-239 acquire+fill write view, 240-255 release write view. After every
+// op, Flow and Snapshot must report exactly the model's push and pop counts.
 func FuzzViewModelResize(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 150, 120, 180, 4, 100, 240})
 	f.Add([]byte{1, 10, 10, 10, 155, 111, 111, 185, 100, 100})
@@ -798,6 +799,8 @@ func FuzzViewModelResize(f *testing.F) {
 			if q.Len() != len(model) {
 				t.Fatalf("len = %d, model %d", q.Len(), len(model))
 			}
+			// Every accepted value took the next number, so next is the push count.
+			checkFlow(t, q.Telemetry(), uint64(next), uint64(next-len(model)), 0)
 		}
 		// Close any outstanding borrows without consuming, then drain the
 		// remainder and re-verify order + signals after close.

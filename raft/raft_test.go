@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"raftlib/internal/mapper"
 )
@@ -187,10 +188,46 @@ func TestSumApplicationWithoutMonitor(t *testing.T) {
 	}
 }
 
+// stallKernel passes elements through and sleeps for pause after every
+// every-th one: a consumer stall that keeps its writer blocked for the
+// whole pause.
+type stallKernel struct {
+	KernelBase
+	every, n int
+	pause    time.Duration
+}
+
+func newStall(every int, pause time.Duration) *stallKernel {
+	k := &stallKernel{every: every, pause: pause}
+	AddInput[int64](k, "in")
+	AddOutput[int64](k, "out")
+	return k
+}
+
+func (k *stallKernel) Run() Status {
+	v, err := Pop[int64](k.In("in"))
+	if err != nil {
+		return Stop
+	}
+	if k.n++; k.n%k.every == 0 {
+		time.Sleep(k.pause)
+	}
+	if err := Push(k.Out("out"), v); err != nil {
+		return Stop
+	}
+	return Proceed
+}
+
+// TestSmallQueuesForceDynamicResize checks the §4.1 write-side rule on
+// 1-element queues: a writer blocked for 3δ gets its queue grown. The rule
+// reads the current block at each tick, so the load must hold the writer
+// blocked that long; the consumer's periodic 2 ms stalls do, where a merely
+// busy Cap(1) hand-off blocks in episodes of a few microseconds that a
+// tick lands inside only by luck.
 func TestSmallQueuesForceDynamicResize(t *testing.T) {
 	m := NewMap()
 	sink := newCollect()
-	work := newWork()
+	work := newStall(2_000, 2*time.Millisecond)
 	if _, err := m.Link(newGen(20_000), work, Cap(1)); err != nil {
 		t.Fatal(err)
 	}
