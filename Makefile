@@ -92,9 +92,12 @@ ci-fuzz:
 # Bench smoke for CI: correctness is always asserted; perf bars downgrade
 # to warnings on small runners (auto-detected via GOMAXPROCS < 2). -seed
 # varies per run so a conclusion that only holds for one seed gets caught.
+# The layer microbenchmarks (ring and port push/pop, StepTimed, bridge
+# frame encode) run once each so they keep compiling and running.
 ci-smoke:
 	$(GO) run ./cmd/raft-bench -ablate batch -corpus 1 -items 500000 -seed $(CI_SEED)
 	$(GO) run ./cmd/raft-bench -ablate rate -items 2000000 -seed $(CI_SEED)
+	$(GO) test -run '^$$' -bench 'PushPop|StepTimed|SenderFrame' -benchtime 1x ./internal/ringbuffer ./internal/core ./internal/oar ./raft
 
 # Gateway gate: race-test the admission front door (token buckets, the
 # source-kernel handoff, the HTTP/framed servers are all concurrent by

@@ -29,6 +29,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,7 +59,7 @@ type Node struct {
 	mu       sync.Mutex
 	peers    map[string]NodeInfo
 	self     NodeInfo
-	streams  map[string]chan net.Conn
+	streams  map[string]*streamSlot
 	services map[string]ServiceFunc
 	stages   map[string]func(net.Conn, *bufio.Reader)
 	closed   bool
@@ -84,7 +85,7 @@ func NewNode(id, addr string) (*Node, error) {
 		id:       id,
 		ln:       ln,
 		peers:    map[string]NodeInfo{},
-		streams:  map[string]chan net.Conn{},
+		streams:  map[string]*streamSlot{},
 		services: map[string]ServiceFunc{},
 		stages:   map[string]func(net.Conn, *bufio.Reader){},
 		stopCh:   make(chan struct{}),
@@ -352,9 +353,17 @@ func Call(addr, service string, req map[string]string) (map[string]string, error
 
 // --- stream registration (used by bridge.go) ---
 
+// streamSlot is one registered inbound stream endpoint. conns delivers
+// its connections to the receiver (newest wins, see serveStream); arrivals
+// counts every connection the node handed to the endpoint, adopted or not.
+type streamSlot struct {
+	conns    chan net.Conn
+	arrivals atomic.Uint64
+}
+
 // registerStream announces a named inbound stream endpoint and returns the
-// channel on which its connection will be delivered.
-func (n *Node) registerStream(name string) (<-chan net.Conn, error) {
+// slot through which its connections will be delivered.
+func (n *Node) registerStream(name string) (*streamSlot, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -363,19 +372,21 @@ func (n *Node) registerStream(name string) (<-chan net.Conn, error) {
 	if _, dup := n.streams[name]; dup {
 		return nil, fmt.Errorf("oar: stream %q already registered", name)
 	}
-	ch := make(chan net.Conn, 1)
-	n.streams[name] = ch
-	return ch, nil
+	slot := &streamSlot{conns: make(chan net.Conn, 1)}
+	n.streams[name] = slot
+	return slot, nil
 }
 
 func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, name string) {
 	n.mu.Lock()
-	ch, ok := n.streams[name]
+	slot, ok := n.streams[name]
 	n.mu.Unlock()
 	if !ok {
 		conn.Close()
 		return
 	}
+	slot.arrivals.Add(1)
+	ch := slot.conns
 	select {
 	case ch <- &bufferedConn{Conn: conn, r: br}:
 	default:

@@ -23,7 +23,6 @@ package ringbuffer
 import (
 	"errors"
 	"math/bits"
-	"sync/atomic"
 	"time"
 )
 
@@ -102,15 +101,17 @@ type Queue interface {
 	Telemetry() *Telemetry
 }
 
-// Telemetry aggregates per-queue performance counters. The hot-path cost is
-// a handful of atomic adds; see package stats for the primitives.
+// Telemetry aggregates per-queue performance counters. A single-element
+// push or pop touches none of them on either ring kind, apart from one
+// occupancy record per sampled push; blocking, resizing, shedding and
+// views pay an atomic add each. See package stats for the primitives.
 type Telemetry struct {
-	// pushes and pops count elements in and out of the mutex ring. The
-	// lock-free ring keeps no such counters: its tail and head sequences
-	// are the counts (see SPSC), and head and tail point at them. Read
-	// both through Flow or Snapshot.
-	pushes, pops counter64
-	head, tail   *atomic.Uint64
+	// flow reads the cumulative push and pop counts; each ring kind
+	// installs its own at construction. Neither keeps a per-element
+	// counter: the lock-free ring's tail and head sequences are the counts
+	// (see SPSC), and the mutex ring counts in plain fields under its
+	// lock. Read through Flow or Snapshot.
+	flow         func() (pushes, pops uint64)
 	WriteBlockNs counter64 // cumulative producer block time
 	ReadBlockNs  counter64 // cumulative consumer block time
 	Resizes      counter64
@@ -147,13 +148,15 @@ type Telemetry struct {
 	// occ is the paper's §4.1 "queue occupancy histogram" recorded on the
 	// write side itself rather than by monitor sampling: bucket i counts
 	// push operations that left the queue at a log2-bucketed occupancy
-	// (bucket 0 = {0,1} elements, bucket i = [2^i, 2^(i+1))). One atomic
-	// add per push op — batched pushes record once per batch, so the
-	// histogram weights synchronization points, which is exactly what the
-	// allocator and batcher reason about. The lock-free ring records a
-	// random sample of its single-element pushes, each weighted by its
-	// sampling gap (see SPSC.TryPush), so there the bucket totals track
-	// push ops rather than equal them.
+	// (bucket 0 = {0,1} elements, bucket i = [2^i, 2^(i+1))). Batched
+	// pushes (PushN, PushBatch, write-view release) record exactly, one
+	// atomic add per batch, so the histogram weights synchronization
+	// points, which is exactly what the allocator and batcher reason
+	// about. Single-element pushes record a random sample, one in
+	// occStride on average, each weighted by its sampling gap (see
+	// SPSC.TryPush and Ring.Push), on both ring kinds: the bucket totals
+	// track push ops within one gap rather than equal them, and the mean
+	// and quantiles stay unbiased.
 	occ [OccBuckets]counter64
 }
 
@@ -161,6 +164,10 @@ type Telemetry struct {
 // absorbs any occupancy ≥ 2^(OccBuckets-1) (capacities beyond 4G elements
 // do not occur).
 const OccBuckets = 33
+
+// occStride is the mean gap S between the single-element pushes whose
+// occupancy either ring kind records (see Telemetry.occ).
+const occStride = 64
 
 // recordOcc tallies the occupancy a push operation left behind, with
 // weight w (the number of push ops the record stands for).
@@ -176,19 +183,14 @@ func (t *Telemetry) recordOcc(n int, w uint64) {
 }
 
 // Flow returns the cumulative push and pop counts — the per-tick read
-// hook of the online rate estimator (two atomic loads, no snapshot copy:
-// the estimator polls every link on every estimation window, so the full
-// Snapshot would be mostly wasted work). Both counts are exact on both
-// ring kinds. Pops is read first, so a read concurrent with the endpoints
-// never sees more pops than pushes.
-func (t *Telemetry) Flow() (pushes, pops uint64) {
-	if t.tail != nil {
-		pops = t.head.Load()
-		return t.tail.Load(), pops
-	}
-	pops = t.pops.Load()
-	return t.pushes.Load(), pops
-}
+// hook of the online rate estimator (no snapshot copy: the estimator
+// polls every link on every estimation window, so the full Snapshot would
+// be mostly wasted work). Both counts are exact on both ring kinds, read
+// through the hook the ring installed: two atomic loads on the lock-free
+// ring (head first), one short critical section on the mutex ring. Either
+// way a read concurrent with the endpoints never sees more pops than
+// pushes.
+func (t *Telemetry) Flow() (pushes, pops uint64) { return t.flow() }
 
 // BlockNs returns the cumulative producer and consumer block times — the
 // estimator's evidence that a window's observations were contaminated by
@@ -266,8 +268,8 @@ type TelemetrySnapshot struct {
 	Views      uint64
 	ViewHoldNs uint64
 	// Occupancy is the per-push log2 occupancy histogram (see Telemetry.occ
-	// for bucket semantics; sampled on the lock-free ring). Quantiles come
-	// from stats.LogQuantile.
+	// for bucket semantics; single-element pushes are sampled). Quantiles
+	// come from stats.LogQuantile.
 	Occupancy [OccBuckets]uint64
 }
 

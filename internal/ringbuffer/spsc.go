@@ -101,10 +101,6 @@ type SPSC[T any] struct {
 	tel Telemetry
 }
 
-// occStride is the mean gap S between single-element pushes whose
-// occupancy TryPush records (see TryPush).
-const occStride = 64
-
 // NewSPSC returns a lock-free ring whose capacity is capacity rounded up to
 // a power of two (minimum 2).
 func NewSPSC[T any](capacity int) *SPSC[T] {
@@ -113,7 +109,7 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	q.prod = seg
 	q.cons = seg
 	q.active.Store(seg)
-	q.tel.head, q.tel.tail = &q.head, &q.tail
+	q.tel.flow = q.flow
 	return q
 }
 
@@ -147,6 +143,14 @@ func (q *SPSC[T]) Len() int {
 		return 0
 	}
 	return int(t - h)
+}
+
+// flow is the queue's Telemetry.Flow hook: the sequences are the counts.
+// Head is loaded first, so a read concurrent with both endpoints never
+// sees more pops than pushes.
+func (q *SPSC[T]) flow() (pushes, pops uint64) {
+	pops = q.head.Load()
+	return q.tail.Load(), pops
 }
 
 // Cap returns the capacity of the newest epoch.

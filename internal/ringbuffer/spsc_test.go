@@ -320,8 +320,36 @@ func TestSPSCLayout(t *testing.T) {
 // every concurrent Flow or Snapshot read must see Pops <= Pushes, and at
 // quiescence Pushes == Pops + Len exactly. Run it under -race.
 func TestSPSCFlowConcurrent(t *testing.T) {
-	const total, backlog = 20_000, 2 // the backlog fits the smallest ring
 	q := NewSPSC[int](4)
+	raceFlow(t, q, func() bool { return !q.ResizePending() })
+}
+
+// TestRingFlowConcurrent is TestSPSCFlowConcurrent on the mutex ring,
+// whose flow counts are plain fields read under its lock.
+func TestRingFlowConcurrent(t *testing.T) {
+	raceFlow(t, NewRing[int](4), func() bool { return true })
+}
+
+// flowRacer is the operation set raceFlow drives on either ring kind.
+type flowRacer interface {
+	Push(int, Signal) error
+	PushN([]int, []Signal) error
+	AcquireWriteView(int) (WriteView[int], error)
+	ReleaseWriteView(int)
+	Pop() (int, Signal, error)
+	PopN([]int, []Signal) (int, error)
+	AcquireView(int) (View[int], error)
+	ReleaseView(int)
+	Resize(int) error
+	Len() int
+	Telemetry() *Telemetry
+}
+
+// raceFlow runs the producer, consumer and observer of the flow tests;
+// resizeIdle reports whether the ring can take another Resize now.
+func raceFlow(t *testing.T, q flowRacer, resizeIdle func() bool) {
+	t.Helper()
+	const total, backlog = 20_000, 2 // the backlog fits the smallest ring
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(2)
@@ -353,7 +381,7 @@ func TestSPSCFlowConcurrent(t *testing.T) {
 				q.ReleaseWriteView(k)
 				i += k
 			}
-			if i >= nextResize && !q.ResizePending() {
+			if i >= nextResize && resizeIdle() {
 				_ = q.Resize(2 << (i / 500 % 5))
 				nextResize += 500
 			}
@@ -418,7 +446,7 @@ func TestSPSCFlowConcurrent(t *testing.T) {
 		t.Fatalf("pushes %d != pops %d + len %d at quiescence", pushes, pops, q.Len())
 	}
 	if snap.Resizes == 0 {
-		t.Fatal("no epoch swap installed during the run")
+		t.Fatal("no resize installed during the run")
 	}
 }
 

@@ -309,7 +309,7 @@ func (r *Ring[T]) ReleaseWriteView(n int) {
 	if n > 0 {
 		wasEmpty := r.n == 0
 		r.n += n
-		r.tel.pushes.Add(uint64(n))
+		r.pushSeq += uint64(n)
 		r.tel.recordOcc(r.n, 1)
 		r.notEmpty.Broadcast()
 		r.wokeNotEmpty(wasEmpty)

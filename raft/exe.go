@@ -569,8 +569,11 @@ type LinkReport struct {
 	Dropped uint64
 	// OccHist is the per-push log2 occupancy histogram — the paper's
 	// §4.1 "queue occupancy histogram" (bucket 0 = {0,1} elements,
-	// bucket i = [2^i, 2^(i+1)) elements at push time). OccP50/OccP99
-	// are its quantile upper bounds.
+	// bucket i = [2^i, 2^(i+1)) elements at push time). Bulk pushes
+	// record once each; element-wise pushes record a random sample,
+	// one in 64 on average, weighted by gap, so the weights total the
+	// push ops within one gap. OccP50/OccP99 are its quantile upper
+	// bounds.
 	OccHist [ringbuffer.OccBuckets]uint64
 	OccP50  uint64
 	OccP99  uint64

@@ -278,8 +278,8 @@ func writeMetrics(w io.Writer, links []*core.LinkInfo, actors []*core.Actor,
 
 	// Per-link occupancy histogram: cumulative counts over the log2 bucket
 	// upper edges. The sum is reconstructed from bucket midpoints (the hot
-	// path records one counter per push, not an exact sum).
-	fmt.Fprintf(&b, "# HELP raft_link_occupancy Queue occupancy at push time (elements); sampled on lock-free links, each sample weighted by its gap.\n# TYPE raft_link_occupancy histogram\n")
+	// path records bucket weights, not an exact sum).
+	fmt.Fprintf(&b, "# HELP raft_link_occupancy Queue occupancy at push time (elements); single-element pushes are sampled on both queue kinds, each sample weighted by its gap; bulk pushes record once each.\n# TYPE raft_link_occupancy histogram\n")
 	for _, r := range rows {
 		var cum, count uint64
 		var sum float64

@@ -145,23 +145,50 @@ func TestChromeTraceRequiresTrace(t *testing.T) {
 	}
 }
 
+// TestReportOccupancyHistogram checks the Report's per-link occupancy
+// histogram against the sampled contract on both ring kinds: element-wise
+// pushes record a random sample, each record weighted by its gap (at most
+// 2*64-1 pushes), so a link's weights total its push count within one gap;
+// a PushN records exactly one op.
 func TestReportOccupancyHistogram(t *testing.T) {
-	_, rep := runSumApp(t, 5000)
-	var pushes, occCount uint64
-	for _, l := range rep.Links {
-		pushes += l.Pushes
-		for _, n := range l.OccHist {
-			occCount += n
-		}
-		if l.Pushes > 0 && l.OccP99 == 0 {
-			t.Fatalf("link %s: pushes=%d but occ p99 = 0", l.Name, l.Pushes)
+	const maxGap = 2*64 - 1
+	for _, opts := range [][]Option{nil, {WithLockFreeQueues()}} {
+		_, rep := runSumApp(t, 5000, opts...)
+		for _, l := range rep.Links {
+			var w uint64
+			for _, n := range l.OccHist {
+				w += n
+			}
+			if l.Pushes != 5000 {
+				t.Fatalf("link %s (%s): pushes = %d, want 5000", l.Name, l.Ring, l.Pushes)
+			}
+			if w < l.Pushes || w > l.Pushes+maxGap-1 {
+				t.Fatalf("link %s (%s): occupancy weights total %d, want within one gap of %d pushes",
+					l.Name, l.Ring, w, l.Pushes)
+			}
+			if l.OccP99 == 0 {
+				t.Fatalf("link %s (%s): pushes=%d but occ p99 = 0", l.Name, l.Ring, l.Pushes)
+			}
 		}
 	}
-	if occCount == 0 {
-		t.Fatal("no occupancy samples recorded")
+	m := NewMap()
+	src := NewLambda[int64](0, 1, func(k *LambdaKernel) Status {
+		_ = PushN(k.Out("0"), make([]int64, 12))
+		return Stop
+	})
+	if _, err := m.Link(src, newCollect()); err != nil {
+		t.Fatal(err)
 	}
-	// Element-wise pushes record one occupancy sample each.
-	if occCount != pushes {
-		t.Fatalf("occupancy samples = %d, pushes = %d", occCount, pushes)
+	rep, err := m.Exe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rep.Links[0].OccHist
+	var total uint64
+	for _, n := range h {
+		total += n
+	}
+	if h[3] != 1 || total != 1 {
+		t.Fatalf("PushN of 12 recorded %v, want one op in bucket 3", h[:5])
 	}
 }

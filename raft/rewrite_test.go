@@ -195,6 +195,58 @@ func TestRewriteSpliceAndRemoveMidRun(t *testing.T) {
 	}
 }
 
+// TestRewriteSpliceOntoLockFreeLink splices a doubling kernel in front of
+// a consumer that reads a mutex link, connecting it over an AsLockFree
+// link. The consumer's port migrates from a mutex ring to a lock-free one
+// mid-stream, so the typed accessors must follow the rebind to the other
+// ring kind: the output is exactly the identity segment, then the doubled
+// one, and the consumer ends on the lock-free queue.
+func TestRewriteSpliceOntoLockFreeLink(t *testing.T) {
+	const n = 20_000
+	m := NewMap()
+	gen := newGen(n)
+	sink := newPacedCollect(time.Millisecond)
+	l0 := m.MustLink(gen, sink)
+
+	ex, err := m.ExeAsync(WithDynamicResize(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "pre-splice traffic", func() bool { return sink.count() >= 500 })
+	if k := sink.In("in").Queue().Kind(); k != "mutex" {
+		t.Fatalf("consumer starts on a %s queue, want mutex", k)
+	}
+
+	tx := ex.Rewriter().Begin()
+	if err := tx.RemoveLink(l0); err != nil {
+		t.Fatal(err)
+	}
+	work := newWork()
+	if _, err := tx.Link(gen, work); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Link(work, sink, AsLockFree()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("splice commit: %v", err)
+	}
+	if _, err := ex.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got := sink.values()
+	if len(got) != n {
+		t.Fatalf("received %d values, want %d", len(got), n)
+	}
+	cuts := checkSegments(t, got, func(i int64) int64 { return i }, func(i int64) int64 { return 2 * i })
+	if len(cuts) != 1 || cuts[0] == 0 {
+		t.Fatalf("segment cuts = %v, want one cut past the origin", cuts)
+	}
+	if k := sink.In("in").Queue().Kind(); k != "spsc" {
+		t.Fatalf("consumer ends on a %s queue, want spsc", k)
+	}
+}
+
 // TestRewriteUnderWorkStealing repeats the mid-run splice on the sharded
 // work-stealing scheduler: the spliced kernel must be spawned into the
 // running shard set and the splice must stay exactly-once.
