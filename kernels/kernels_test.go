@@ -102,6 +102,20 @@ func TestForEachReduce(t *testing.T) {
 			t.Fatalf("for_each ran %d times; must be momentary", k.Runs)
 		}
 	}
+	// Its aliased slice counts as pushed, so the link's flow balances.
+	found := false
+	for _, l := range rep.Links {
+		if !strings.HasPrefix(l.Name, "for_each") {
+			continue
+		}
+		found = true
+		if l.Pushes != n || l.Pops != n {
+			t.Fatalf("for_each link %s: pushes=%d pops=%d, want %d each", l.Name, l.Pushes, l.Pops, n)
+		}
+	}
+	if !found {
+		t.Fatalf("no for_each link in report %+v", rep.Links)
+	}
 }
 
 func TestForEachZeroCopyWindow(t *testing.T) {

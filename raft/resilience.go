@@ -66,7 +66,12 @@ func NewFaultInjector() *FaultInjector { return fault.New() }
 type BridgeReport struct {
 	// Stream is the bridge's stream name.
 	Stream string
-	// Reconnects counts connections re-established after a failure.
+	// Reconnects counts connections re-established after a failure. A
+	// sender counts the redials whose replay went through. A receiver
+	// counts every connection the sender opened to its stream after the
+	// first, so a redial that broke during its replay counts on the
+	// receiver only, and under repeated faults the receiver can read
+	// higher than the sender.
 	Reconnects uint64
 	// Replayed counts frames retransmitted from the replay buffer.
 	Replayed uint64
